@@ -3,9 +3,9 @@
 These are the engine's generalization of the reference's per-pixel
 cell_from_point loop (/root/reference/dggstools/rhpx/rhpx_gdf_helper.py:85-118) to
 arbitrary point tables, plus the majority/mean cell aggregation of the target
-north_star.  All kernels are zero-copy Arrow in / Arrow out and pre-aggregate inside
-map_batches before any shuffle (partial+final), so the groupby only moves one row
-per (cell, batch) instead of one per input row.
+north_star.  All kernels are zero-copy Arrow in / Arrow out, and every
+aggregation is one ops.joins.sized_groupby call, whose per-block partials move
+one row per (cell, block) instead of one per input row.
 """
 from __future__ import annotations
 
@@ -42,35 +42,34 @@ def add_centroid_batch(batch: pa.Table, cell_col: str = "cellid",
     return batch.append_column("x", pa.array(x)).append_column("y", pa.array(y))
 
 
-def _partial_sum_count(batch: pa.Table, cell_col: str, value_col: str,
-                       res: int | None) -> pa.Table:
-    """Per-batch combiner for mean regrid: (cell, sum, count)."""
-    if res is not None:
+def _at_resolution(ds, cell_col: str, res: int | None):
+    """Coarsen the cell column to `res` (the identity when res is None)."""
+    if res is None:
+        return ds
+
+    def coarsen(b: pa.Table) -> pa.Table:
         cells = truncate_to_resolution(
-            batch.column(cell_col).to_numpy(zero_copy_only=False), res)
-        batch = batch.set_column(batch.schema.get_field_index(cell_col),
-                                 cell_col, pa.array(cells, pa.string()))
-    g = batch.select([cell_col, value_col]).group_by(cell_col).aggregate(
-        [(value_col, "sum"), (value_col, "count")])
-    return g.rename_columns([cell_col, "_psum", "_pcount"])
+            b.column(cell_col).to_numpy(zero_copy_only=False), res)
+        return b.set_column(b.schema.get_field_index(cell_col), cell_col,
+                            pa.array(cells, pa.string()))
+
+    return ds.map_batches(coarsen, batch_format="pyarrow")
 
 
 def regrid_mean(ds, value_col: str, res: int | None = None,
                 cell_col: str = "cellid", out_col: str = "mean_value"):
-    """Mean of value per (optionally coarsened) cell.  Two-phase: vectorized Arrow
-    partial aggregation inside each batch, then a small groupby(cell).sum shuffle,
-    then finalize sum/count.  This is the salted-shuffle-free fast path; the partial
-    step already collapses hot cells inside every block, which is what makes skewed
-    groupbys safe (SURVEY.md section 4 skew row)."""
-    from ray.data.aggregate import Sum
+    """Mean of the non-null values per (optionally coarsened) cell, with their
+    count `n`: one sized_groupby (Sum + non-null Count), then sum/count.  Its
+    per-block partial collapses hot cells inside every block before any
+    exchange, which is what makes skewed groupbys safe (SURVEY.md section 4
+    skew row)."""
+    from ray.data.aggregate import Count, Sum
 
-    partial = ds.map_batches(
-        lambda b: _partial_sum_count(b, cell_col, value_col, res),
-        batch_format="pyarrow")
     from .joins import sized_groupby
-    agg = sized_groupby(partial, cell_col,
-                        Sum("_psum", alias_name="_sum"),
-                        Sum("_pcount", alias_name="_count"))
+    agg = sized_groupby(_at_resolution(ds, cell_col, res), cell_col,
+                        Sum(value_col, alias_name="_sum"),
+                        Count(value_col, ignore_nulls=True,
+                              alias_name="_count"))
 
     def finalize(b: pa.Table) -> pa.Table:
         mean = pc.divide(b.column("_sum"), pc.cast(b.column("_count"), pa.float64()))
@@ -82,63 +81,19 @@ def regrid_mean(ds, value_col: str, res: int | None = None,
 
 def regrid_majority(ds, value_col: str, res: int | None = None,
                     cell_col: str = "cellid", out_col: str = "majority_value"):
-    """Majority (mode) value per cell; ties break to the smallest value (matching a
-    deterministic SQL oracle: ORDER BY cnt DESC, value ASC LIMIT 1 per cell).
-    Partial: per-batch (cell, value) counts; shuffle on (cell, value); final:
-    per-cell argmax done vectorized by sorting."""
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        if res is not None:
-            cells = truncate_to_resolution(
-                b.column(cell_col).to_numpy(zero_copy_only=False), res)
-            b = b.set_column(b.schema.get_field_index(cell_col), cell_col,
-                             pa.array(cells, pa.string()))
-        g = b.select([cell_col, value_col]).group_by([cell_col, value_col]) \
-             .aggregate([([], "count_all")])
-        return g.rename_columns([cell_col, value_col, "_pcnt"])
+    """Majority (mode) value per (optionally coarsened) cell, with its count
+    `n`; ties break to the smallest value (matching a deterministic SQL
+    oracle: ORDER BY cnt DESC, value ASC LIMIT 1 per cell).  One
+    sized_groupby counts each (cell, value), then `_argmax_by_score` picks
+    per cell.  The value column must hold integers in [-2^20, 2^20) (class
+    ids, nation keys, burn values, nodata sentinels); map strings to ids
+    with vector2dggs.feature_class_values first.  Anything else raises."""
+    from ray.data.aggregate import Count
 
     from .joins import sized_groupby
-    counts = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           [cell_col, value_col],
-                           Sum("_pcnt", alias_name="_cnt"))
-
-    sch = ds.schema()
-    sch = getattr(sch, "base_schema", sch)   # ray Schema wraps the pa.Schema
-    if pa.types.is_integer(sch.field(value_col).type):
-        return _argmax_by_score(counts, cell_col, value_col, out_col)
-
-    def pick(b: pa.Table) -> pa.Table:
-        # per-cell argmax: sort by (cell, cnt desc, value asc), keep first per cell
-        idx = pc.sort_indices(b, sort_keys=[(cell_col, "ascending"),
-                                            ("_cnt", "descending"),
-                                            (value_col, "ascending")])
-        b = b.take(idx)
-        cells = b.column(cell_col).to_numpy(zero_copy_only=False)
-        keep = np.ones(len(cells), dtype=bool)
-        keep[1:] = cells[1:] != cells[:-1]
-        out = b.filter(pa.array(keep))
-        return pa.table({cell_col: out.column(cell_col),
-                         out_col: out.column(value_col),
-                         "n": out.column("_cnt")})
-
-    # Non-integer values: same vectorized sort+boundary kernel, but applied per
-    # coarse hash partition (one Python call per partition, not per cell).  The
-    # groupby(_part) shuffle co-locates every row of a cell, and `pick` already
-    # handles many cells per table.
-    def add_part(b: pa.Table) -> pa.Table:
-        # crc32 is deterministic across worker processes (hash() is not under
-        # PYTHONHASHSEED randomization, and a split cell would emit twice).
-        from zlib import crc32
-        cells = b.column(cell_col).to_numpy(zero_copy_only=False)
-        h = np.fromiter((crc32(c.encode()) for c in cells), dtype=np.int64,
-                        count=len(cells))
-        return b.append_column("_part", pa.array(h % 256))
-
-    return (counts.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(lambda t: pick(t.drop_columns(["_part"])),
-                        batch_format="pyarrow"))
+    counts = sized_groupby(_at_resolution(ds, cell_col, res),
+                           [cell_col, value_col], Count(alias_name="_cnt"))
+    return _argmax_by_score(counts, cell_col, value_col, out_col)
 
 
 _MAJ_K = 1 << 21     # value universe for the packed argmax score
@@ -146,16 +101,25 @@ _MAJ_BIAS = 1 << 20  # shift so signed sentinels (e.g. -1 nodata) qualify
 
 
 def _argmax_by_score(counts, cell_col: str, value_col: str, out_col: str):
-    """Per-cell argmax(cnt desc, value asc) as ONE native vectorized Max:
-    score = cnt * K + (K-1-(value+BIAS)) packs the comparison into a single
-    int64, so the final reduction is Ray's built-in Max — no per-group Python
-    call even with millions of distinct cells.  Requires -2^20 <= value <
-    2^20 (class ids / nation keys / burn values / nodata sentinels all
-    qualify) and per-(cell,value) counts < 2^42."""
+    """Per-cell argmax(cnt desc, value asc) over (cell, value, _cnt) rows as
+    ONE sized_groupby Max: score = cnt * K + (K-1-(value+BIAS)) packs the
+    comparison into a single int64, so no per-group Python call runs even
+    with millions of distinct cells.  Integer values only: a non-integer
+    value column raises TypeError and a value outside [-2^20, 2^20) raises
+    ValueError, both from the encode kernel.  Per-(cell, value) counts must
+    stay below 2^42."""
     from ray.data.aggregate import Max
 
+    from .joins import sized_groupby
+
     def encode(b: pa.Table) -> pa.Table:
-        v = b.column(value_col).to_numpy().astype(np.int64) + _MAJ_BIAS
+        col = b.column(value_col)
+        if not pa.types.is_integer(col.type):
+            raise TypeError(
+                f"majority value column {value_col!r} is {col.type}, not an "
+                f"integer: map values to integer ids first "
+                f"(vector2dggs.feature_class_values)")
+        v = col.to_numpy().astype(np.int64) + _MAJ_BIAS
         if v.size and (v.min() < 0 or v.max() >= _MAJ_K):
             raise ValueError(
                 f"majority value out of [-{_MAJ_BIAS}, {_MAJ_BIAS}): "
@@ -165,8 +129,8 @@ def _argmax_by_score(counts, cell_col: str, value_col: str, out_col: str):
         return pa.table({cell_col: b.column(cell_col),
                          "_score": pa.array(score)})
 
-    best = counts.map_batches(encode, batch_format="pyarrow") \
-        .groupby(cell_col).aggregate(Max("_score", alias_name="_score"))
+    best = sized_groupby(counts.map_batches(encode, batch_format="pyarrow"),
+                         cell_col, Max("_score", alias_name="_score"))
 
     def decode(b: pa.Table) -> pa.Table:
         s = b.column("_score").to_numpy()
@@ -181,12 +145,7 @@ def _argmax_by_score(counts, cell_col: str, value_col: str, out_col: str):
 def count_cells_per_value(ds, value_col: str, cell_col: str = "cellid"):
     """groupby(value).count over cell rows — the reference's per-class cell count
     (vector_to_rhpx.py:481-484) as a distributed aggregate."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.select([value_col]).group_by(value_col).aggregate([([], "count_all")])
-        return g.rename_columns([value_col, "_pcnt"])
-
-    from .joins import lowcard_groupby
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           value_col, Sum("_pcnt", alias_name="cells"))
+    from .joins import sized_groupby
+    return sized_groupby(ds, value_col, Count(alias_name="cells"))

@@ -5,14 +5,12 @@ Ray-Data-native re-expression of the reference's geodataframe_to_rhealpix_file
 from the table metadata, force the exact cell width, prefill nodata, scatter each
 row at rowcol(centroid)) and rhealpix_data_frame_to_geodataframe (:368-445: derive
 bounds from cell vertices, res from cell_width, floor-based height/width with a
-min of 1).
+min of 1; here the floor first snaps float error, see `_cells_across`).
 
-Distributed layout: the raster is a Dataset of TILE rows
-    {tile_row:int32, tile_col:int32, h:int32, w:int32, data:binary}
-keyed by tile id; the scatter is a groupby(tile).map_groups — the shuffle key is
-the cellid prefix in disguise (tiles nest in coarser cells because tile size is a
-multiple of the cell width).  assemble_array() materializes small rasters to numpy
-(driver-side, test/CLI use only)."""
+The scatter needs no shuffle: each block maps its rows to flat pixel indices
+row*W + col (dropping rows outside the window), and the calling process writes
+those blocks straight into the (bands, H, W) array it returns — the raster is
+built in its own pixel layout, as Raptor (VLDB 2019, PAPERS.md) argues for."""
 from __future__ import annotations
 
 import math
@@ -23,7 +21,19 @@ import pyarrow as pa
 from ..core.rhpx import DEFAULT_GRID, GridConfig, cell_centroid, cell_ul_vertex
 from .joins import join_partitions
 
-DEFAULT_TILE = 512  # cells per tile side
+# Tile side (cells) in which perfbench's `cells2raster.tiles` metric counts
+# the output raster; the scatter itself has no tiles.
+DEFAULT_TILE = 512
+
+
+def _cells_across(extent: float, res: float) -> int:
+    """Whole cells spanning `extent`: floor of extent/res, after snapping a
+    quotient that float error left within 1e-9 (relative) of an integer, so
+    that e.g. 255.99999999997 counts 256 cells, not 255 (min 1)."""
+    n = extent / res
+    if math.isclose(n, round(n), rel_tol=1e-9):
+        n = round(n)
+    return max(1, math.floor(n))
 
 
 def _meta_from_bounds(minx: float, maxx: float, miny: float, maxy: float,
@@ -32,8 +42,8 @@ def _meta_from_bounds(minx: float, maxx: float, miny: float, maxy: float,
     res = grid.cell_width(res_idx)
     left, right = float(minx), float(maxx + res)
     top, bottom = float(maxy), float(miny - res)
-    height = max(1, math.floor((top - bottom) / res))
-    width = max(1, math.floor((right - left) / res))
+    height = _cells_across(top - bottom, res)
+    width = _cells_across(right - left, res)
     return {"left": left, "top": top, "right": right, "bottom": bottom,
             "height": height, "width": width, "res": res, "res_idx": res_idx,
             "nbands": nbands, "nodata": nodata, "nodatavals": [nodata] * nbands,
@@ -44,7 +54,7 @@ def _meta_from_bounds(minx: float, maxx: float, miny: float, maxy: float,
 def meta_from_cells(cellids, grid: GridConfig = DEFAULT_GRID, nodata=None,
                     nbands: int = 1, dtype: str = "int16") -> dict:
     """Derive the raster metadata dict (the reference's gdf.attrs) from a cellid
-    collection — bounds from cell vertices, floor-based height/width (>=1)."""
+    collection — bounds from cell vertices, height/width by `_cells_across`."""
     cellids = np.asarray(cellids, dtype="U")
     res_idx = len(cellids[0]) - 1
     ulx, uly = cell_ul_vertex(cellids, grid)
@@ -88,74 +98,16 @@ def meta_from_cells_ds(ds, grid: GridConfig = DEFAULT_GRID,
                              nbands, dtype)
 
 
-def cells_to_tiles(ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
-                   cell_col: str = "cellid", tile: int = DEFAULT_TILE):
-    """Cell-table Dataset -> tile-row Dataset.  Exact-resolution contract of the
-    reference (rhpx_gdf_helper.py:292-298): the lattice step IS cell_width(res_idx);
-    rows whose centroid falls outside the target window are dropped (they would be
-    out-of-range rowcol writes)."""
-    from ray.data.aggregate import Max  # noqa: F401  (import kept close to groupby use)
-
-    res = meta["res"]
-    left, top = meta["left"], meta["top"]
-    H, W = meta["height"], meta["width"]
-    nbands = meta["nbands"]
-    dtype = np.dtype(meta["dtypes"][0])
-    band_cols = [f"band{i + 1}" for i in range(nbands)]
-
-    def to_rowcol(b: pa.Table) -> pa.Table:
-        cells = b.column(cell_col).to_numpy(zero_copy_only=False)
-        cx, cy = cell_centroid(cells, grid)
-        col = np.floor((cx - left) / res).astype(np.int64)
-        row = np.floor((top - cy) / res).astype(np.int64)
-        ok = (row >= 0) & (row < H) & (col >= 0) & (col < W)
-        cols = {"row": pa.array(row[ok]), "col": pa.array(col[ok]),
-                "tile_id": pa.array((row[ok] // tile) * ((W // tile) + 1)
-                                    + (col[ok] // tile))}
-        for bc in band_cols:
-            cols[bc] = b.column(bc).filter(pa.array(ok))
-        return pa.table(cols)
-
-    def scatter(g: pa.Table) -> pa.Table:
-        tid = g.column("tile_id")[0].as_py()
-        trow, tcol = tid // ((W // tile) + 1), tid % ((W // tile) + 1)
-        h = min(tile, H - trow * tile)
-        w = min(tile, W - tcol * tile)
-        arr = np.full((nbands, h, w), meta["nodata"] if meta["nodata"] is not None
-                      else 0, dtype=dtype)
-        r = g.column("row").to_numpy() - trow * tile
-        c = g.column("col").to_numpy() - tcol * tile
-        for i, bc in enumerate(band_cols):
-            arr[i, r, c] = g.column(bc).to_numpy().astype(dtype)
-        return pa.table({"tile_row": pa.array([trow], pa.int32()),
-                         "tile_col": pa.array([tcol], pa.int32()),
-                         "h": pa.array([h], pa.int32()),
-                         "w": pa.array([w], pa.int32()),
-                         "data": pa.array([arr.tobytes()], pa.binary())})
-
-    return ds.map_batches(to_rowcol, batch_format="pyarrow") \
-             .groupby("tile_id").map_groups(scatter, batch_format="pyarrow")
-
-
-def assemble_array(tiles_ds, meta: dict, tile: int = DEFAULT_TILE) -> np.ndarray:
-    """Materialize a (small) tile Dataset into one (bands, H, W) array."""
-    H, W, nbands = meta["height"], meta["width"], meta["nbands"]
-    dtype = np.dtype(meta["dtypes"][0])
-    fill = meta["nodata"] if meta["nodata"] is not None else 0
-    out = np.full((nbands, H, W), fill, dtype=dtype)
-    for row in tiles_ds.iter_rows():
-        tr, tc, h, w = row["tile_row"], row["tile_col"], row["h"], row["w"]
-        arr = np.frombuffer(row["data"], dtype=dtype).reshape(nbands, h, w)
-        out[:, tr * tile: tr * tile + h, tc * tile: tc * tile + w] = arr
-    return out
-
-
 def cells_to_raster_array(ds, meta: dict | None = None,
                           grid: GridConfig = DEFAULT_GRID,
                           cell_col: str = "cellid",
                           nodata=0) -> tuple[np.ndarray, dict]:
-    """Convenience: cell-table Dataset -> (array, meta), deriving meta from the
-    cells when not given (reference DataFrame->raster path)."""
+    """Cell-table Dataset -> (array (bands, H, W), meta), deriving meta from
+    the cells when not given (reference DataFrame->raster path).
+    Exact-resolution contract of the reference (rhpx_gdf_helper.py:292-298):
+    the lattice step IS cell_width(res_idx); rows whose centroid falls outside
+    the target window are dropped (they would be out-of-range rowcol writes).
+    Pixels no row reaches hold meta["nodata"] (0 when None)."""
     if meta is None:
         nbands = sum(1 for c in ds.schema().names if c.startswith("band"))
         first_band_type = ds.schema().types[ds.schema().names.index("band1")]
@@ -163,8 +115,31 @@ def cells_to_raster_array(ds, meta: dict | None = None,
                                   nbands=max(1, nbands),
                                   dtype=first_band_type
                                   .to_pandas_dtype().__name__)
-    tiles = cells_to_tiles(ds, meta, grid, cell_col)
-    return assemble_array(tiles, meta), meta
+    res = meta["res"]
+    left, top = meta["left"], meta["top"]
+    H, W = meta["height"], meta["width"]
+    dtype = np.dtype(meta["dtypes"][0])
+    band_cols = [f"band{i + 1}" for i in range(meta["nbands"])]
+
+    def to_pixels(b: pa.Table) -> pa.Table:
+        cells = b.column(cell_col).to_numpy(zero_copy_only=False)
+        cx, cy = cell_centroid(cells, grid)
+        col = np.floor((cx - left) / res).astype(np.int64)
+        row = np.floor((top - cy) / res).astype(np.int64)
+        ok = (row >= 0) & (row < H) & (col >= 0) & (col < W)
+        cols = {"_pix": pa.array(row[ok] * W + col[ok])}
+        for bc in band_cols:
+            cols[bc] = b.column(bc).filter(pa.array(ok))
+        return pa.table(cols)
+
+    out = np.full((len(band_cols), H * W), meta["nodata"]
+                  if meta["nodata"] is not None else 0, dtype=dtype)
+    for b in ds.map_batches(to_pixels, batch_format="pyarrow") \
+            .iter_batches(batch_format="pyarrow", batch_size=None):
+        pix = b.column("_pix").to_numpy()
+        for i, bc in enumerate(band_cols):
+            out[i, pix] = b.column(bc).to_numpy().astype(dtype)
+    return out.reshape(len(band_cols), H, W), meta
 
 
 def grid_cells_for_bbox(nw: tuple, se: tuple, res: int,

@@ -133,13 +133,13 @@ def area_setop_flags(ds_a, ds_b, res: int, grid: GridConfig = DEFAULT_GRID,
         g = part.group_by(cell_col).aggregate([("_a", "max"), ("_b", "max")])
         return g.rename_columns([cell_col, "_a", "_b"])
 
-    from .joins import lowcard_groupby
+    from .joins import sized_groupby
 
     # cell universe at the common res is bounded (not data-proportional), so
     # coalescing partials before the shuffle beats block-proportional partitions
-    return lowcard_groupby(both.map_batches(indicators, batch_format="pyarrow"),
-                           cell_col, Max("_a", alias_name="in_a"),
-                           Max("_b", alias_name="in_b"))
+    return sized_groupby(both.map_batches(indicators, batch_format="pyarrow"),
+                         cell_col, Max("_a", alias_name="in_a"),
+                         Max("_b", alias_name="in_b"))
 
 
 def area_setop(ds_a, ds_b, op: str, res: int, grid: GridConfig = DEFAULT_GRID,

@@ -204,42 +204,41 @@ def hash_join(left, right, on: str = "cellid", join_type: str = "inner",
                      num_partitions=num_partitions)
 
 
-def lowcard_groupby(ds, key, *aggs):
-    """groupby for LOW-cardinality keys fed by per-batch partial aggregates
-    (cells at coarse res, lang, type, hour...).  Low-cardinality partials
-    always fit one block, so sized_groupby's measured-size fast path
-    finishes with a single Arrow pass — avoiding Ray's sort-shuffle, whose
-    one-output-partition-per-input-block layout cost ~7 s of fixed overhead
-    per small groupby at sf0.1."""
-    return sized_groupby(ds, key, *aggs,
-                         rows_per_part=1_000_000)
-
-
 _ARROW_FNS = {"Sum": "sum", "Min": "min", "Max": "max"}
 
 
 def sized_groupby(ds, key, *aggs, rows_per_part: int = 1_000_000,
                   single_block_rows: int = 8_000_000):
-    """Adaptive groupby for HIGH-cardinality keys.
+    """The engine's grouped aggregation: `ds.groupby(key).aggregate(*aggs)`
+    for Sum, Min, Max and Count without Ray's sort-shuffle Aggregate at
+    sizes where its fixed cost dominates.  Feed it the raw rows: phase 1 is
+    the per-batch partial, so callers need no partial of their own.
 
     Phase 1 always runs: per-block Arrow group_by partials (Sum of Sums /
-    Min of Mins / Max of Maxes are associative) on blocks coalesced to
-    ~rows_per_part rows, materialized — partials are bounded by
-    (distinct keys x blocks), tiny relative to input.
+    Min of Mins / Max of Maxes are associative; counts combine by Sum),
+    then again on blocks coalesced to ~rows_per_part rows, materialized —
+    partials are bounded by (distinct keys x blocks), tiny relative to
+    input.  `Count(col, ignore_nulls=True)` counts the non-null values of
+    `col`; any other Count counts rows.
 
     Phase 2 picks by MEASURED size (the streaming planner cannot know it):
     under single_block_rows, ONE more Arrow group_by over the concatenated
     partials finishes the job in a single task — measured 0.8 s vs 6-8 s for
     Ray's sort/hash Aggregate on a 580k-row input, whose per-operator constant
-    dominates below ~10M rows.  Above the limit (the true 100 TB regime,
-    where keys do not fit one block) it falls back to the distributed
-    Aggregate, whose overhead amortizes at that scale."""
+    dominates below ~10M rows.  Low-cardinality keys (coarse cells, lang,
+    type, hour...) always take this path: Ray's sort-shuffle, with one
+    output partition per input block, cost ~7 s of fixed overhead per small
+    groupby at sf0.1.  Above the limit (the true 100 TB regime, where keys
+    do not fit one block) it falls back to the distributed Aggregate, whose
+    overhead amortizes at that scale.  Other aggregations skip both phases
+    and go straight to Ray's Aggregate."""
     keys = [key] if isinstance(key, str) else list(key)
     spec = []          # (src_col_or_None, level1_fn, alias); Count -> row
     for a in aggs:     # count at level 1, Sum of counts afterwards
         cls = type(a).__name__
         if cls == "Count":
-            spec.append((None, "count_all", a.name))
+            col = a._target_col_name if a._ignore_nulls else None
+            spec.append((col, "count" if col else "count_all", a.name))
             continue
         fn = _ARROW_FNS.get(cls)
         if fn is None:                       # non-decomposable agg: shuffle
@@ -274,7 +273,7 @@ def partial_again(keys, spec):
     (counts combine by sum)."""
     def kernel(b: pa.Table) -> pa.Table:
         g = b.group_by(keys).aggregate(
-            [(alias, "sum" if fn == "count_all" else fn)
+            [(alias, "sum" if fn.startswith("count") else fn)
              for _, fn, alias in spec])
         return g.rename_columns(keys + [alias for _, _, alias in spec])
     return kernel
@@ -315,7 +314,7 @@ def union_groupby_inner(left, right, key_col: str,
                           batch_format="pyarrow"))
     aggs = [Sum(c, alias_name=c) for c in (*left_cols, *right_cols)]
     aggs += [Sum("_ha", alias_name="_ha"), Sum("_hb", alias_name="_hb")]
-    g = lowcard_groupby(u, key_col, *aggs)
+    g = sized_groupby(u, key_col, *aggs)
 
     def keep_both(b: pa.Table) -> pa.Table:
         mask = pc.and_(pc.greater(b.column("_ha"), 0),
@@ -358,8 +357,8 @@ def knn_cells(ds, query_cellid: str, k: int, key_col: str = "cellid",
                          "_c": pa.array(cnt.astype(np.int64))})
 
     from ray.data.aggregate import Sum
-    hist = lowcard_groupby(ds.map_batches(lcp_hist, batch_format="pyarrow"),
-                           "lcp", Sum("_c", alias_name="n")).to_pandas()
+    hist = sized_groupby(ds.map_batches(lcp_hist, batch_format="pyarrow"),
+                         "lcp", Sum("_c", alias_name="n")).to_pandas()
     counts = dict(zip(hist["lcp"], hist["n"]))
     plen = 0          # fall through to the whole dataset (prefix "") when
     cum = 0           # even the 1-char face prefix holds fewer than k rows

@@ -48,7 +48,7 @@ def exact_group_quantiles(ds, value_col: str, group_col: str,
     (group, q0_lo, q0_hi, q1_lo, q1_hi, ..., n)."""
     from ray.data.aggregate import Max, Min, Sum
 
-    from .joins import lowcard_groupby
+    from .joins import sized_groupby
 
     nq = len(fracs)
 
@@ -58,10 +58,10 @@ def exact_group_quantiles(ds, value_col: str, group_col: str,
             [(value_col, "count"), (value_col, "min"), (value_col, "max")])
         return g.rename_columns([group_col, "_c", "_lo", "_hi"])
 
-    stats = lowcard_groupby(ds.map_batches(stat_partial, batch_format="pyarrow"),
-                            group_col, Sum("_c", alias_name="n"),
-                            Min("_lo", alias_name="lo"),
-                            Max("_hi", alias_name="hi")).to_pandas()
+    stats = sized_groupby(ds.map_batches(stat_partial, batch_format="pyarrow"),
+                          group_col, Sum("_c", alias_name="n"),
+                          Min("_lo", alias_name="lo"),
+                          Max("_hi", alias_name="hi")).to_pandas()
     groups = stats[group_col].tolist()
     n_of = dict(zip(groups, stats["n"].astype(np.int64)))
     lo_of = dict(zip(groups, stats["lo"].astype(np.float64)))

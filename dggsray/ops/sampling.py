@@ -73,7 +73,7 @@ def pack_token_batches(ds, budget: int, id_col: str = "doc_id",
     offset = global order) and emits batch ids.  token_col, when given, skips
     tokenization and uses a precomputed count column.
     """
-    from .joins import lowcard_groupby
+    from .joins import sized_groupby
     from ray.data.aggregate import Sum, Min, Max
 
     def with_tokens(b: pa.Table) -> pa.Table:
@@ -113,7 +113,7 @@ def pack_token_batches(ds, budget: int, id_col: str = "doc_id",
     ranged = tok.map_batches(with_range, batch_format="pyarrow")
 
     # pass 1: per-range subtotals -> driver exclusive scan (P rows only)
-    sub = lowcard_groupby(ranged, "_rg", Sum("_n", alias_name="_t")) \
+    sub = sized_groupby(ranged, "_rg", Sum("_n", alias_name="_t")) \
         .to_pandas().sort_values("_rg")
     off_map = np.zeros(n_ranges, dtype=np.int64)
     rgs = sub["_rg"].to_numpy().astype(np.int64)

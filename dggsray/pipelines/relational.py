@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 from ..core.cells import truncate_to_resolution
 from ..core.rhpx import DEFAULT_GRID, cells_from_lonlat
 from ..oracle import G_LAT, G_LON
-from ..ops.joins import join_partitions, lowcard_groupby
+from ..ops.joins import join_partitions, sized_groupby
 
 
 from ..ops.joins import PLAN_LOCK as _READ_LOCK  # noqa: E402
@@ -74,8 +74,8 @@ def cell_count_by_face(sf_dir: str, res: int = 4):
         t = pa.table({"face": face}).group_by("face").aggregate([([], "count_all")])
         return t.rename_columns(["face", "_p"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           "face", Sum("_p", alias_name="n_points"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         "face", Sum("_p", alias_name="n_points"))
 
 
 def cell_agg_customer(sf_dir: str, res_fine: int = 4, res_coarse: int = 2):
@@ -96,9 +96,9 @@ def cell_agg_customer(sf_dir: str, res_fine: int = 4, res_coarse: int = 2):
         g = t.group_by("cell").aggregate([("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["cell", "_ps", "_pc"])
 
-    return lowcard_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
-                           "cell", Sum("_ps", alias_name="bal_cents"),
-                           Sum("_pc", alias_name="n_customers"))
+    return sized_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
+                         "cell", Sum("_ps", alias_name="bal_cents"),
+                         Sum("_pc", alias_name="n_customers"))
 
 
 def cell_join_customer_orders(sf_dir: str, res: int = 3):
@@ -135,7 +135,7 @@ def cell_join_customer_orders(sf_dir: str, res: int = 3):
 def cell_majority_nation(sf_dir: str, res: int = 2):
     """Majority nation per cell over customer points (majority regrid semantics:
     most frequent value, ties to the smallest value)."""
-    from ray.data.aggregate import Sum
+    from ..ops.cellify import regrid_majority
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
 
@@ -143,37 +143,19 @@ def cell_majority_nation(sf_dir: str, res: int = 2):
         keys = b.column("c_custkey").to_numpy()
         lon, lat = derived_lonlat(keys)
         cells = cells_from_lonlat(res, lon, lat, DEFAULT_GRID)
-        t = pa.table({"cell": pa.array(cells, pa.string()),
-                      "nation": pc.cast(b.column("c_nationkey"), pa.int32())})
-        g = t.group_by(["cell", "nation"]).aggregate([([], "count_all")])
-        return g.rename_columns(["cell", "nation", "_p"])
+        return pa.table({"cell": pa.array(cells, pa.string()),
+                         "nation": pc.cast(b.column("c_nationkey"), pa.int32())})
 
-    counts = lowcard_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
-                             ["cell", "nation"], Sum("_p", alias_name="cnt"))
+    maj = regrid_majority(ds.map_batches(kernel, batch_format="pyarrow"),
+                          "nation", cell_col="cell", out_col="majority_nation")
 
-    # per-cell argmax(cnt desc, nation asc) as ONE native Max over a packed
-    # int64 score — no per-group Python call (ops.cellify._argmax_by_score
-    # pattern; nations < 2^21 by a mile)
-    from ray.data.aggregate import Max
-    K = 1 << 21
-
-    def encode(b: pa.Table) -> pa.Table:
-        v = b.column("nation").to_numpy().astype(np.int64)
-        cnt = b.column("cnt").to_numpy().astype(np.int64)
+    def rename(b: pa.Table) -> pa.Table:
         return pa.table({"cell": b.column("cell"),
-                         "_score": pa.array(cnt * K + (K - 1 - v))})
+                         "majority_nation": pc.cast(b.column("majority_nation"),
+                                                    pa.int32()),
+                         "cnt": b.column("n")})
 
-    best = lowcard_groupby(counts.map_batches(encode, batch_format="pyarrow"),
-                           "cell", Max("_score", alias_name="_score"))
-
-    def decode(b: pa.Table) -> pa.Table:
-        s = b.column("_score").to_numpy()
-        return pa.table({"cell": b.column("cell"),
-                         "majority_nation": pa.array(
-                             (K - 1 - (s % K)).astype(np.int32)),
-                         "cnt": pa.array(s // K)})
-
-    return best.map_batches(decode, batch_format="pyarrow")
+    return maj.map_batches(rename, batch_format="pyarrow")
 
 
 # --- relational / TPC-H-ish ------------------------------------------------
@@ -196,11 +178,11 @@ def pricing_summary(sf_dir: str):
             [("qty", "sum"), ("price_cents", "sum"), ([], "count_all")])
         return g.rename_columns(["l_returnflag", "l_linestatus", "_q", "_p", "_n"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["l_returnflag", "l_linestatus"],
-                           Sum("_q", alias_name="sum_qty"),
-                           Sum("_p", alias_name="sum_price_cents"),
-                           Sum("_n", alias_name="n_rows"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["l_returnflag", "l_linestatus"],
+                         Sum("_q", alias_name="sum_qty"),
+                         Sum("_p", alias_name="sum_price_cents"),
+                         Sum("_n", alias_name="n_rows"))
 
 
 def top_orders(sf_dir: str, k: int = 25):
@@ -228,9 +210,9 @@ def events_by_type(sf_dir: str):
         g = t.group_by("event_type").aggregate([("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["event_type", "_s", "_n"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           "event_type", Sum("_s", alias_name="value_cents"),
-                           Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         "event_type", Sum("_s", alias_name="value_cents"),
+                         Sum("_n", alias_name="n_events"))
 
 
 # --- documents: dedup + text analysis --------------------------------------
@@ -253,7 +235,6 @@ def docs_dedup_exact(sf_dir: str):
         return pa.table({"text": b.column("text"),
                          "_packed": pa.array(packed, pa.string())})
 
-    from ..ops.joins import sized_groupby
     keep = sized_groupby(ds.map_batches(pack, batch_format="pyarrow"),
                          "text", Min("_packed", alias_name="_win"),
                          rows_per_part=200_000)   # ~1 KB text rows
@@ -264,8 +245,8 @@ def docs_dedup_exact(sf_dir: str):
             .aggregate([([], "count_all")])
         return g.rename_columns(["lang", "_n"])
 
-    return lowcard_groupby(keep.map_batches(partial, batch_format="pyarrow"),
-                           "lang", Sum("_n", alias_name="n_unique_docs"))
+    return sized_groupby(keep.map_batches(partial, batch_format="pyarrow"),
+                         "lang", Sum("_n", alias_name="n_unique_docs"))
 
 
 def docs_token_stats(sf_dir: str):
@@ -286,10 +267,10 @@ def docs_token_stats(sf_dir: str):
                                           ([], "count_all")])
         return g.rename_columns(["lang", "_t", "_c", "_n"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           "lang", Sum("_t", alias_name="n_tokens"),
-                           Sum("_c", alias_name="n_chars"),
-                           Sum("_n", alias_name="n_docs"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         "lang", Sum("_t", alias_name="n_tokens"),
+                         Sum("_c", alias_name="n_chars"),
+                         Sum("_n", alias_name="n_docs"))
 
 
 def ann_cosine_top10(sf_dir: str, k: int = 10):
@@ -380,7 +361,6 @@ def docs_simhash_clusters(sf_dir: str):
                          "simhash": pa.array(
                              simhash_batch(texts).astype(np.int64))})
 
-    from ..ops.joins import sized_groupby
     return sized_groupby(ds.map_batches(sig, batch_format="pyarrow"),
                          "simhash", Count(alias_name="n_docs"),
                          Min("doc_id", alias_name="min_doc_id"))
@@ -406,7 +386,6 @@ def docs_pack_batches(sf_dir: str, budget: int = PACK_TOKEN_BUDGET):
     (ops.sampling.pack_token_batches), summarized per batch."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import lowcard_groupby
     from ..ops.sampling import pack_token_batches
 
     packed = pack_token_batches(_read(sf_dir, "documents", ["doc_id", "text"]),
@@ -417,10 +396,10 @@ def docs_pack_batches(sf_dir: str, budget: int = PACK_TOKEN_BUDGET):
              .aggregate([("n_tokens", "sum"), ([], "count_all")])
         return g.rename_columns(["batch_id", "_ps", "_pc"])
 
-    return lowcard_groupby(packed.map_batches(partial, batch_format="pyarrow"),
-                           "batch_id",
-                           Sum("_ps", alias_name="sum_tokens"),
-                           Sum("_pc", alias_name="n_docs"))
+    return sized_groupby(packed.map_batches(partial, batch_format="pyarrow"),
+                         "batch_id",
+                         Sum("_ps", alias_name="sum_tokens"),
+                         Sum("_pc", alias_name="n_docs"))
 
 
 def events_median_value(sf_dir: str):
@@ -568,8 +547,6 @@ def events_top_users(sf_dir: str, k: int = 3):
     grouped top-k -> tiny single-block final merge.  No global sort."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import sized_groupby
-
     ds = _read(sf_dir, "events", ["event_type", "user_id", "value"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -622,10 +599,10 @@ def docs_split_counts(sf_dir: str):
             [("_n", "sum"), ([], "count_all")])
         return g.rename_columns(["lang", "split", "_s", "_c"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["lang", "split"],
-                           Sum("_s", alias_name="n_tokens"),
-                           Sum("_c", alias_name="n_docs"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["lang", "split"],
+                         Sum("_s", alias_name="n_tokens"),
+                         Sum("_c", alias_name="n_docs"))
 
 
 def docs_sample_n_per_group(sf_dir: str, n: int = 5):
@@ -691,7 +668,6 @@ def docs_corpus_pipeline(sf_dir: str, budget: int = PACK_TOKEN_BUDGET):
     the pieces."""
     from ray.data.aggregate import Min
 
-    from ..ops.joins import sized_groupby
     from ..ops.sampling import hash_sample, pack_token_batches
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
@@ -735,11 +711,10 @@ def docs_corpus_pipeline(sf_dir: str, budget: int = PACK_TOKEN_BUDGET):
 
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import lowcard_groupby
-    return lowcard_groupby(packed.map_batches(partial, batch_format="pyarrow"),
-                           "batch_id",
-                           Sum("_ps", alias_name="sum_tokens"),
-                           Sum("_pc", alias_name="n_docs"))
+    return sized_groupby(packed.map_batches(partial, batch_format="pyarrow"),
+                         "batch_id",
+                         Sum("_ps", alias_name="sum_tokens"),
+                         Sum("_pc", alias_name="n_docs"))
 
 
 def docs_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
@@ -833,7 +808,6 @@ def images_augment(sf_dir: str):
 
     from ..io.imagetable import ensure_image_table
     from ..ops.dedup import _popcount64
-    from ..ops.joins import lowcard_groupby
     from ..ops.multimodal import ImageAugment, _default_pool
 
     ds = rd.read_parquet(ensure_image_table(_sf_of(sf_dir)))
@@ -858,12 +832,12 @@ def images_augment(sf_dir: str):
         return g.rename_columns(["flip_h", "flip_v", "_sh", "_sa", "_sb",
                                  "_n"])
 
-    agg = lowcard_groupby(aug.map_batches(partial, batch_format="pyarrow"),
-                          ["flip_h", "flip_v"],
-                          Sum("_sh", alias_name="_sh"),
-                          Sum("_sa", alias_name="_sa"),
-                          Sum("_sb", alias_name="n_decode_mismatch"),
-                          Sum("_n", alias_name="n_images"))
+    agg = sized_groupby(aug.map_batches(partial, batch_format="pyarrow"),
+                        ["flip_h", "flip_v"],
+                        Sum("_sh", alias_name="_sh"),
+                        Sum("_sa", alias_name="_sa"),
+                        Sum("_sb", alias_name="n_decode_mismatch"),
+                        Sum("_n", alias_name="n_images"))
 
     def fin(b: pa.Table) -> pa.Table:
         n = np.maximum(b.column("n_images").to_numpy(), 1)
@@ -913,10 +887,10 @@ def images_caption_filter(sf_dir: str, min_tokens: int = 4):
             [("_k", "sum"), ("_d", "sum"), ("_c", "sum")])
         return g.rename_columns(["fmt", "_k", "_d", "_c"])
 
-    agg = lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                          "fmt", Sum("_k", alias_name="n_kept"),
-                          Sum("_d", alias_name="n_dropped"),
-                          Sum("_c", alias_name="_c"))
+    agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                        "fmt", Sum("_k", alias_name="n_kept"),
+                        Sum("_d", alias_name="n_dropped"),
+                        Sum("_c", alias_name="_c"))
 
     def fin(b: pa.Table) -> pa.Table:
         n = np.maximum(b.column("n_kept").to_numpy(), 1)
@@ -947,7 +921,7 @@ def images_corpus_pipeline(sf_dir: str, bright_max_milli: int = 127_000):
     from ray.data.aggregate import Count, Min, Sum
 
     from ..io.imagetable import ensure_image_table
-    from ..ops.joins import broadcast_semi_join, lowcard_groupby, sized_groupby
+    from ..ops.joins import broadcast_semi_join
     from ..ops.multimodal import ImagePrep, _default_pool
 
     ds = rd.read_parquet(ensure_image_table(_sf_of(sf_dir)))
@@ -973,10 +947,10 @@ def images_corpus_pipeline(sf_dir: str, bright_max_milli: int = 127_000):
             [("_b", "sum"), ("_c", "sum"), ([], "count_all")])
         return g.rename_columns(["fmt", "_sb", "_sc", "_n"])
 
-    agg = lowcard_groupby(winners.map_batches(partial, batch_format="pyarrow"),
-                          "fmt", Sum("_sb", alias_name="_sb"),
-                          Sum("_sc", alias_name="_sc"),
-                          Sum("_n", alias_name="n_kept"))
+    agg = sized_groupby(winners.map_batches(partial, batch_format="pyarrow"),
+                        "fmt", Sum("_sb", alias_name="_sb"),
+                        Sum("_sc", alias_name="_sc"),
+                        Sum("_n", alias_name="n_kept"))
 
     def fin(b: pa.Table) -> pa.Table:
         n = b.column("n_kept").to_numpy()
@@ -1122,7 +1096,6 @@ def images_phash_dedup(sf_dir: str):
     from ray.data.aggregate import Count, Min, Sum
 
     from ..io.imagetable import ensure_image_table, ensure_jpeg_table
-    from ..ops.joins import sized_groupby
 
     sf = float(sf_dir.rstrip("/").rsplit("sf", 1)[-1])
     cols = ["image_id", "phash", "fmt"]
@@ -1299,8 +1272,8 @@ def cell_topk_densest(sf_dir: str, res: int = 4, k: int = 20):
         return g.rename_columns(["cellid", "_p"])
 
     from ..ops.topk import partial_topk
-    agg = lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                          "cellid", Sum("_p", alias_name="n_points"))
+    agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                        "cellid", Sum("_p", alias_name="n_points"))
     return partial_topk(agg, ["n_points", "cellid"], [True, False], k)
 
 
@@ -1348,10 +1321,10 @@ def events_hourly(sf_dir: str):
             [("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["event_type", "hour", "_s", "_n"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["event_type", "hour"],
-                           Sum("_s", alias_name="value_cents"),
-                           Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["event_type", "hour"],
+                         Sum("_s", alias_name="value_cents"),
+                         Sum("_n", alias_name="n_events"))
 
 
 def events_cell_hourly(sf_dir: str, res: int = 2):
@@ -1375,10 +1348,10 @@ def events_cell_hourly(sf_dir: str, res: int = 2):
             [("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["cell", "hour", "_s", "_n"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           ["cell", "hour"],
-                           Sum("_s", alias_name="value_cents"),
-                           Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["cell", "hour"],
+                         Sum("_s", alias_name="value_cents"),
+                         Sum("_n", alias_name="n_events"))
 
 
 def events_geofence(sf_dir: str, res: int = 3):
@@ -1409,9 +1382,9 @@ def events_geofence(sf_dir: str, res: int = 3):
             [("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["event_type", "_s", "_n"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           "event_type", Sum("_s", alias_name="value_cents"),
-                           Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         "event_type", Sum("_s", alias_name="value_cents"),
+                         Sum("_n", alias_name="n_events"))
 
 
 def geofence_cover(res: int = 3) -> np.ndarray:
@@ -1452,10 +1425,10 @@ def events_moving_window(sf_dir: str, window: int = 3):
             [("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["event_type", "hour_ts", "_s", "_n"])
 
-    hourly = lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                             ["event_type", "hour_ts"],
-                             Sum("_s", alias_name="cents"),
-                             Sum("_n", alias_name="n"))
+    hourly = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                           ["event_type", "hour_ts"],
+                           Sum("_s", alias_name="cents"),
+                           Sum("_n", alias_name="n"))
 
     def sliding(b: pa.Table) -> pa.Table:
         idx = pc.sort_indices(b, sort_keys=[("event_type", "ascending"),
@@ -1504,7 +1477,6 @@ def orders_lineitem_revenue(sf_dir: str, k: int = 50):
         g = t.group_by("l_orderkey").aggregate([("rev", "sum")])
         return g.rename_columns(["l_orderkey", "_r"])
 
-    from ..ops.joins import sized_groupby
     rev = sized_groupby(li.map_batches(partial, batch_format="pyarrow"),
                         "l_orderkey", Sum("_r", alias_name="revenue_e4"))
     from ..ops.topk import partial_topk
@@ -1535,7 +1507,6 @@ def docs_vocab_topk(sf_dir: str, k: int = 50):
     vocabulary size x block count — independent of corpus length."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import sized_groupby
     from ..ops.topk import partial_topk
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -1614,8 +1585,6 @@ def docs_token_commonness(sf_dir: str, broadcast_limit: int = 2_000_000):
     import ray
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import sized_groupby
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def counts(b: pa.Table) -> pa.Table:
@@ -1677,7 +1646,7 @@ def _token_commonness_joined(ds, vocab_ds):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import hash_join, join_partitions, sized_groupby
+    from ..ops.joins import hash_join, join_partitions
 
     def tf_kernel(b: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(b.column("text"), r"\s+")
@@ -1735,8 +1704,6 @@ def events_props_extract(sf_dir: str):
     partial row per (event_type, block)."""
     from ray.data.aggregate import Max, Sum
 
-    from ..ops.joins import lowcard_groupby
-
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def kernel(b: pa.Table) -> pa.Table:
@@ -1747,10 +1714,10 @@ def events_props_extract(sf_dir: str):
             [("_k", "sum"), ("_k", "max"), ([], "count_all")])
         return g.rename_columns(["event_type", "_s", "_m", "_n"])
 
-    return lowcard_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
-                           "event_type", Sum("_s", alias_name="sum_k"),
-                           Max("_m", alias_name="max_k"),
-                           Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
+                         "event_type", Sum("_s", alias_name="sum_k"),
+                         Max("_m", alias_name="max_k"),
+                         Sum("_n", alias_name="n_events"))
 
 
 def docs_tfidf_topk(sf_dir: str, k: int = 5,
@@ -1851,7 +1818,7 @@ def events_funnel(sf_dir: str):
     to assemble the final row."""
     from ray.data.aggregate import Min
 
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
 
     def typed(event_type: str, out: str):
         # row filter pushed into the parquet scan: non-matching row groups
@@ -1921,8 +1888,6 @@ def events_distinct_users(sf_dir: str):
     raw events."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import lowcard_groupby, sized_groupby
-
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def pairs(b: pa.Table) -> pa.Table:
@@ -1942,9 +1907,9 @@ def events_distinct_users(sf_dir: str):
         return pa.table({"event_type": vc.field("values"),
                          "n_users": pc.cast(vc.field("counts"), pa.int64())})
 
-    return lowcard_groupby(dedup.map_batches(per_type,
+    return sized_groupby(dedup.map_batches(per_type,
                                              batch_format="pyarrow"),
-                           "event_type", Sum("n_users",
+                         "event_type", Sum("n_users",
                                              alias_name="n_users"))
 
 
@@ -1990,7 +1955,6 @@ def images_neardup_components(sf_dir: str, max_hamming: int = 3):
 
     from ..io.imagetable import ensure_image_table, ensure_jpeg_table
     from ..ops.dedup import connected_components, hamming_near_pairs
-    from ..ops.joins import sized_groupby
 
     sf = float(sf_dir.rstrip("/").rsplit("sf", 1)[-1])
     cols = ["phash"]                  # the only column this query touches
@@ -2215,7 +2179,7 @@ def revenue_by_region(sf_dir: str):
     cents*cents arithmetic (revenue_e4) as in orders_lineitem_revenue."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, lowcard_groupby, sized_groupby
+    from ..ops.joins import adaptive_join
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_extendedprice", "l_discount"])
@@ -2268,7 +2232,7 @@ def revenue_by_region(sf_dir: str):
                                                 ("_n", "sum")])
         return g.rename_columns(["n_nationkey", "_rev", "_n"])
 
-    per_nation = lowcard_groupby(
+    per_nation = sized_groupby(
         per_cust.map_batches(nation_partial, batch_format="pyarrow"),
         "n_nationkey", Sum("_rev", alias_name="revenue_e4"),
         Sum("_n", alias_name="n_orders")).to_pandas()
@@ -2344,7 +2308,6 @@ def cell_join_customer_orders_bucketed(sf_dir: str, res: int = 3,
     from ray.data.aggregate import Sum
 
     from ..ops.bucketed import bucketed_join, write_bucketed
-    from ..ops.joins import sized_groupby
 
     def counts(key_col, alias):
         def kernel(b: pa.Table) -> pa.Table:
@@ -2457,7 +2420,6 @@ def docs_bigram_topk(sf_dir: str, k: int = 30):
     a keyed Sum merges, partial_topk picks winners without a global sort."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import sized_groupby
     from ..ops.topk import partial_topk
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -2512,7 +2474,7 @@ def docs_duplicate_spans(sf_dir: str, w: int = 8):
     then cost a verify, never a wrong count."""
     from ray.data.aggregate import Count, Sum
 
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2615,8 +2577,6 @@ def cell_rollup_customer(sf_dir: str, res_fine: int = 4, res_min: int = 1):
     scanned exactly once.  Output: (res, cell, bal_cents, n_customers)."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import lowcard_groupby
-
     ds = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
     def kernel(b: pa.Table) -> pa.Table:
@@ -2645,10 +2605,10 @@ def cell_rollup_customer(sf_dir: str, res_fine: int = 4, res_min: int = 1):
             outs.append(lvl)
         return pa.concat_tables(outs).combine_chunks()
 
-    return lowcard_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
-                           ["res", "cell"],
-                           Sum("_ps", alias_name="bal_cents"),
-                           Sum("_pc", alias_name="n_customers"))
+    return sized_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
+                         ["res", "cell"],
+                         Sum("_ps", alias_name="bal_cents"),
+                         Sum("_pc", alias_name="n_customers"))
 
 
 def shipping_priority_q3(sf_dir: str, segment: str = "BUILDING", k: int = 10):
@@ -2666,7 +2626,7 @@ def shipping_priority_q3(sf_dir: str, segment: str = "BUILDING", k: int = 10):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
     from ..ops.topk import partial_topk
 
     D = datetime.datetime(1998, 6, 1)
@@ -2729,7 +2689,7 @@ def events_cohort_retention(sf_dir: str):
     DuckDB date_trunc('week')); offsets are exact integer week counts."""
     from ray.data.aggregate import Count, Min, Sum
 
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
 
     WEEK_US = 7 * 86_400 * 1_000_000
     ds = _read(sf_dir, "events", ["user_id", "ts"])
@@ -2780,7 +2740,7 @@ def orders_delayed_by_priority(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Max, Sum
 
-    from ..ops.joins import adaptive_join, lowcard_groupby, sized_groupby
+    from ..ops.joins import adaptive_join
 
     D0 = datetime.datetime(1996, 1, 1)
     D1 = datetime.datetime(1996, 7, 1)
@@ -2827,9 +2787,9 @@ def orders_delayed_by_priority(sf_dir: str):
         return pa.table({"o_orderpriority": t.column("o_orderpriority"),
                          "_n": pa.array(np.ones(t.num_rows, np.int64))})
 
-    return lowcard_groupby(joined.map_batches(late, batch_format="pyarrow"),
-                           "o_orderpriority",
-                           Sum("_n", alias_name="order_count"))
+    return sized_groupby(joined.map_batches(late, batch_format="pyarrow"),
+                         "o_orderpriority",
+                         Sum("_n", alias_name="order_count"))
 
 
 def promo_revenue_q14(sf_dir: str):
@@ -2901,8 +2861,6 @@ def dormant_customers_by_nation(sf_dir: str,
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import lowcard_groupby
-
     D = datetime.datetime.fromisoformat(cutoff)
     active = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"],
@@ -2940,10 +2898,10 @@ def dormant_customers_by_nation(sf_dir: str,
                                                  ("_n", "sum")])
         return g.rename_columns(["c_nationkey", "_b", "_n"])
 
-    return lowcard_groupby(cust.map_batches(anti, batch_format="pyarrow"),
-                           "c_nationkey",
-                           Sum("_b", alias_name="bal_cents"),
-                           Sum("_n", alias_name="n_customers"))
+    return sized_groupby(cust.map_batches(anti, batch_format="pyarrow"),
+                         "c_nationkey",
+                         Sum("_b", alias_name="bal_cents"),
+                         Sum("_n", alias_name="n_customers"))
 
 
 def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
@@ -2970,8 +2928,6 @@ def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
     import pyarrow.dataset as pads
     import ray
     from ray.data.aggregate import Sum
-
-    from ..ops.joins import lowcard_groupby
 
     D = datetime.datetime.fromisoformat(cutoff)
     cust = _read(sf_dir, "customer",
@@ -3032,7 +2988,7 @@ def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
                                                   ("_n", "sum")])
         return g.rename_columns(["c_mktsegment", "_b", "_n"])
 
-    return lowcard_groupby(
+    return sized_groupby(
         cust.map_batches(opportunity, batch_format="pyarrow"),
         "c_mktsegment",
         Sum("_b", alias_name="bal_cents"),
@@ -3175,7 +3131,7 @@ def discount_revenue_q19(sf_dir: str):
             .filter(pa.array(keep)),
             "branch": pa.array(code[keep])})
 
-    from ..ops.joins import adaptive_join, lowcard_groupby
+    from ..ops.joins import adaptive_join
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"])
     joined = adaptive_join(li, part.map_batches(prune,
@@ -3194,9 +3150,9 @@ def discount_revenue_q19(sf_dir: str):
         g = t.group_by("branch").aggregate([("_r", "sum")])
         return g.rename_columns(["branch", "_r"])
 
-    agg = lowcard_groupby(joined.map_batches(partial,
+    agg = sized_groupby(joined.map_batches(partial,
                                              batch_format="pyarrow"),
-                          "branch", Sum("_r", alias_name="revenue_e4"))
+                        "branch", Sum("_r", alias_name="revenue_e4"))
     import pandas as pd
     out = agg.to_pandas()                      # <= len(branches) rows
     if "branch" not in out.columns:            # no branch matched at all
@@ -3218,7 +3174,7 @@ def volume_shipping_q7(sf_dir: str, nation_a: int = 1, nation_b: int = 2):
     combiner-first per batch."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, lowcard_groupby
+    from ..ops.joins import adaptive_join
 
     pair = pa.array([nation_a, nation_b], pa.int64())
 
@@ -3265,9 +3221,9 @@ def volume_shipping_q7(sf_dir: str, nation_a: int = 1, nation_b: int = 2):
         g = t.group_by("k").aggregate([("_r", "sum")])
         return g.rename_columns(["k", "_r"])
 
-    agg = lowcard_groupby(joined.map_batches(partial,
+    agg = sized_groupby(joined.map_batches(partial,
                                              batch_format="pyarrow"),
-                          "k", Sum("_r", alias_name="revenue_e4"))
+                        "k", Sum("_r", alias_name="revenue_e4"))
     import pandas as pd
     out = agg.to_pandas()                      # 2 x 2 x years rows
     if "k" not in out.columns:                 # no cross-nation rows at all
@@ -3318,9 +3274,9 @@ def events_geofence_exact(sf_dir: str, res: int = 3):
             [("cents", "sum"), ([], "count_all")])
         return g.rename_columns(["event_type", "_s", "_n"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           "event_type", Sum("_s", alias_name="value_cents"),
-                           Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         "event_type", Sum("_s", alias_name="value_cents"),
+                         Sum("_n", alias_name="n_events"))
 
 
 # three regions for the exact assignment query — region 2 overlaps region 1
@@ -3370,7 +3326,7 @@ def events_region_assign(sf_dir: str, res: int = 3):
             b.column("event_type"), "\x1f")
         return pa.table({"k": k, "_s": b.column("_s"), "_n": b.column("_n")})
 
-    agg = lowcard_groupby(
+    agg = sized_groupby(
         ds.map_batches(partial, batch_format="pyarrow")
           .map_batches(pack, batch_format="pyarrow"),
         "k", Sum("_s", alias_name="value_cents"),
@@ -3393,7 +3349,7 @@ def returned_item_revenue_q10(sf_dir: str, k: int = 20):
     so no side is shuffled for the detail join."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
     from ..ops.topk import partial_topk
 
     li = _read(sf_dir, "lineitem",
@@ -3455,7 +3411,7 @@ def large_quantity_orders_q18(sf_dir: str, min_qty: int = 300,
     avoids a global sort."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
     from ..ops.topk import partial_topk
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
@@ -3507,8 +3463,6 @@ def customer_order_counts_q13(sf_dir: str):
     Output: (c_count, custdist)."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import lowcard_groupby, sized_groupby
-
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
     def per_cust(b: pa.Table) -> pa.Table:
@@ -3525,9 +3479,9 @@ def customer_order_counts_q13(sf_dir: str):
         g = t.group_by("c_count").aggregate([([], "count_all")])
         return g.rename_columns(["c_count", "_d"])
 
-    out = lowcard_groupby(counts.map_batches(hist, batch_format="pyarrow"),
-                          "c_count",
-                          Sum("_d", alias_name="custdist")).to_pandas()
+    out = sized_groupby(counts.map_batches(hist, batch_format="pyarrow"),
+                        "c_count",
+                        Sum("_d", alias_name="custdist")).to_pandas()
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()
     zero = n_cust - int(out["custdist"].sum())
     if zero > 0:
@@ -3554,8 +3508,6 @@ def top_supplier_q15(sf_dir: str, start: str = "1996-01-01",
     import pyarrow.dataset as pads
     import ray.data as rd
     from ray.data.aggregate import Sum
-
-    from ..ops.joins import sized_groupby
 
     D0 = datetime.datetime.fromisoformat(start)
     D1 = datetime.datetime.fromisoformat(end)
@@ -3604,8 +3556,6 @@ def small_quantity_revenue_q17(sf_dir: str, brand: str = "Brand#1"):
     5*qty*n < sum — so engine and oracle can never diverge on float
     rounding.  Output one row: (total_cents, avg_yearly_cents)."""
     from ray.data.aggregate import Sum
-
-    from ..ops.joins import sized_groupby
 
     import ray
 
@@ -3679,7 +3629,7 @@ def market_share_q8(sf_dir: str, region: int = 3, supp_nation: int = 7,
     import ray
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, lowcard_groupby, sized_groupby
+    from ..ops.joins import adaptive_join
 
     from ..ops.joins import build_parallel, dim_flag_bitmap
 
@@ -3756,10 +3706,10 @@ def market_share_q8(sf_dir: str, region: int = 3, supp_nation: int = 7,
         g = t.group_by("o_year").aggregate([("_t", "sum"), ("_n", "sum")])
         return g.rename_columns(["o_year", "_t", "_n"])
 
-    out = lowcard_groupby(joined.map_batches(year_partial,
+    out = sized_groupby(joined.map_batches(year_partial,
                                              batch_format="pyarrow"),
-                          "o_year", Sum("_t", alias_name="total_e4"),
-                          Sum("_n", alias_name="nation_e4")).to_pandas()
+                        "o_year", Sum("_t", alias_name="total_e4"),
+                        Sum("_n", alias_name="nation_e4")).to_pandas()
     out["share_permille"] = (out.nation_e4 * 1000
                              // out.total_e4.clip(lower=1)).astype("int64")
     return out[["o_year", "nation_e4", "total_e4", "share_permille"]] \
@@ -3780,7 +3730,7 @@ def last_shipper_blame_q21(sf_dir: str, k: int = 20):
     s_name, numwait), top-k by numwait."""
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
     from ..ops.topk import partial_topk
 
     li = _read(sf_dir, "lineitem",
@@ -3859,8 +3809,8 @@ def events_cell_transitions(sf_dir: str, res: int = 1):
 
     partials = transition_counts(
         ds.map_batches(with_cell, batch_format="pyarrow"), col="cell")
-    return lowcard_groupby(partials, ["cell_from", "cell_to"],
-                           Sum("_n", alias_name="n_transitions"))
+    return sized_groupby(partials, ["cell_from", "cell_to"],
+                         Sum("_n", alias_name="n_transitions"))
 
 
 def local_supplier_volume_q5(sf_dir: str, region: int = 1,
@@ -3877,7 +3827,7 @@ def local_supplier_volume_q5(sf_dir: str, region: int = 1,
     import ray
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, lowcard_groupby, sized_groupby
+    from ..ops.joins import adaptive_join
 
     nation = _read(sf_dir, "nation",
                    ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
@@ -3961,10 +3911,10 @@ def local_supplier_volume_q5(sf_dir: str, region: int = 1,
         return g.rename_columns(["n_nationkey", "_r"])
 
     import pandas as pd
-    out = lowcard_groupby(joined.map_batches(local_partial,
+    out = sized_groupby(joined.map_batches(local_partial,
                                              batch_format="pyarrow"),
-                          "n_nationkey",
-                          Sum("_r", alias_name="revenue_e4")).to_pandas()
+                        "n_nationkey",
+                        Sum("_r", alias_name="revenue_e4")).to_pandas()
     if "n_nationkey" not in out.columns:
         out = pd.DataFrame({"n_nationkey": pd.Series([], dtype="int64"),
                             "revenue_e4": pd.Series([], dtype="int64")})
@@ -3987,7 +3937,7 @@ def product_profit_q9(sf_dir: str, name_sub: str = "widget"):
     import ray
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, lowcard_groupby, sized_groupby
+    from ..ops.joins import adaptive_join
 
     from ..ops.joins import build_parallel, dim_dense_map, dim_flag_bitmap
 
@@ -4050,9 +4000,9 @@ def product_profit_q9(sf_dir: str, name_sub: str = "widget"):
         return g.rename_columns(["k", "_r"])
 
     import pandas as pd
-    out = lowcard_groupby(joined.map_batches(year_partial,
+    out = sized_groupby(joined.map_batches(year_partial,
                                              batch_format="pyarrow"),
-                          "k", Sum("_r", alias_name="profit_e4")).to_pandas()
+                        "k", Sum("_r", alias_name="profit_e4")).to_pandas()
     if "k" not in out.columns:
         out = pd.DataFrame({"k": pd.Series([], dtype="int64"),
                             "profit_e4": pd.Series([], dtype="int64")})
@@ -4077,8 +4027,6 @@ def cell_embedding_centroid(sf_dir: str, res: int = 1):
     centroid_e6) with centroid_e6 = floor(sum/n)."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import lowcard_groupby
-
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -4099,10 +4047,10 @@ def cell_embedding_centroid(sf_dir: str, res: int = 1):
             "sum_e6": pa.array(sums.ravel()),
             "_n": pa.array(np.repeat(ns, D))})
 
-    agg = lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                          ["cell", "dim"],
-                          Sum("sum_e6", alias_name="sum_e6"),
-                          Sum("_n", alias_name="n_points"))
+    agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["cell", "dim"],
+                        Sum("sum_e6", alias_name="sum_e6"),
+                        Sum("_n", alias_name="n_points"))
     out = agg.to_pandas()
     out["centroid_e6"] = (out.sum_e6 // out.n_points).astype("int64")
     return out[["cell", "dim", "sum_e6", "n_points", "centroid_e6"]] \
@@ -4121,7 +4069,7 @@ def shipping_latency_q12(sf_dir: str):
     (latency_bucket, high_line_count, low_line_count)."""
     from ray.data.aggregate import Sum
 
-    from ..ops.joins import adaptive_join, lowcard_groupby, sized_groupby
+    from ..ops.joins import adaptive_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
@@ -4172,11 +4120,11 @@ def shipping_latency_q12(sf_dir: str):
         g = t.group_by("bidx").aggregate([("_hi", "sum"), ("_lo", "sum")])
         return g.rename_columns(["bidx", "_hi", "_lo"])
 
-    out = lowcard_groupby(joined.map_batches(bucket_partial,
+    out = sized_groupby(joined.map_batches(bucket_partial,
                                              batch_format="pyarrow"),
-                          "bidx",
-                          Sum("_hi", alias_name="high_line_count"),
-                          Sum("_lo", alias_name="low_line_count")).to_pandas()
+                        "bidx",
+                        Sum("_hi", alias_name="high_line_count"),
+                        Sum("_lo", alias_name="low_line_count")).to_pandas()
     out["latency_bucket"] = out.bidx.map(dict(enumerate(_BUCKETS)))
     return out[["latency_bucket", "high_line_count", "low_line_count"]] \
         .sort_values("latency_bucket").reset_index(drop=True)
@@ -4205,10 +4153,10 @@ def events_cell_dwell(sf_dir: str, res: int = 1):
 
     partials = run_dwell_aggregate(
         ds.map_batches(with_cell, batch_format="pyarrow"), col="cell")
-    return lowcard_groupby(partials, "cell",
-                           Sum("_v", alias_name="n_visits"),
-                           Sum("_d", alias_name="total_dwell_us"),
-                           Sum("_n", alias_name="n_events"))
+    return sized_groupby(partials, "cell",
+                         Sum("_v", alias_name="n_visits"),
+                         Sum("_d", alias_name="total_dwell_us"),
+                         Sum("_n", alias_name="n_events"))
 
 
 def events_user_anomalies(sf_dir: str, k: int = 2, min_prior: int = 5):
@@ -4248,8 +4196,6 @@ def docs_dedup_survivors(sf_dir: str):
     sorts max-tokens-then-min-id first (docs_dedup_exact's trick), and the
     group size rides in a Sum.  Output: (doc_id, n_tokens, group_size)."""
     from ray.data.aggregate import Min, Sum
-
-    from ..ops.joins import sized_groupby
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -4383,8 +4329,6 @@ def events_user_argmax(sf_dir: str):
     event_id)."""
     from ray.data.aggregate import Max
 
-    from ..ops.joins import sized_groupby
-
     SHIFT = 1 << 40
     ds = _read(sf_dir, "events", ["user_id", "event_id", "value"])
 
@@ -4423,8 +4367,6 @@ def events_daily_active_users(sf_dir: str):
     Output: (day, n_users)."""
     from ray.data.aggregate import Count, Sum
 
-    from ..ops.joins import lowcard_groupby, sized_groupby
-
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
     def pairs(b: pa.Table) -> pa.Table:
@@ -4443,7 +4385,7 @@ def events_daily_active_users(sf_dir: str):
         g = b.select(["day"]).group_by("day").aggregate([([], "count_all")])
         return g.rename_columns(["day", "_u"])
 
-    return lowcard_groupby(
+    return sized_groupby(
         distinct.map_batches(day_partial, batch_format="pyarrow"),
         "day", Sum("_u", alias_name="n_users"))
 
@@ -4455,8 +4397,6 @@ def embed_norm_buckets(sf_dir: str, bucket_width: int = 50_000):
     square-sum, no per-row loop), combiner-first fold on the tiny bucket
     key.  Output: (bucket, n_vectors, min_vec_id)."""
     from ray.data.aggregate import Min, Sum
-
-    from ..ops.joins import lowcard_groupby
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -4472,9 +4412,9 @@ def embed_norm_buckets(sf_dir: str, bucket_width: int = 50_000):
                                             ("vec_id", "min")])
         return g.rename_columns(["bucket", "_n", "_mv"])
 
-    return lowcard_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                           "bucket", Sum("_n", alias_name="n_vectors"),
-                           Min("_mv", alias_name="min_vec_id"))
+    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+                         "bucket", Sum("_n", alias_name="n_vectors"),
+                         Min("_mv", alias_name="min_vec_id"))
 
 
 def cell_neighbor_smooth(sf_dir: str, res: int = 3):
@@ -4491,7 +4431,7 @@ def cell_neighbor_smooth(sf_dir: str, res: int = 3):
     from ray.data.aggregate import Sum
 
     from ..core.rhpx import F, project_fwd
-    from ..ops.joins import adaptive_join, sized_groupby
+    from ..ops.joins import adaptive_join
 
     side = 3 ** res
     total = 4 * side
@@ -4555,8 +4495,6 @@ def embed_label_centroid_dist(sf_dir: str):
     shuffle bounded by labels x dims; the pairwise step runs on the TINY
     (k, D) centroid matrix.  Output: (label_a, label_b, d2_milli)."""
     from ray.data.aggregate import Count, Sum
-
-    from ..ops.joins import sized_groupby
 
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 

@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dggsray.core.rhpx import GridConfig, cell_from_point
+from dggsray.core.rhpx import F, GridConfig, cell_from_point
 from dggsray.core.tiffio import GeoTiff, read_geotiff, write_geotiff
-from dggsray.ops.cells2raster import (assemble_array, cells_to_tiles,
-                                      cells_to_raster_array, meta_from_cells)
+from dggsray.ops.cells2raster import cells_to_raster_array, meta_from_cells
 from dggsray.ops.raster2dggs import geotiff_to_tiles, tiles_to_cells
 
 G3 = GridConfig(3, 1, 0)
@@ -53,6 +53,42 @@ class TestMiniDggsGoldens:
         assert arr.shape[2] in (6, 7)
         assert arr.shape[1] in (9, 10)
         assert (arr == -9999).sum() > 0
+
+
+@st.composite
+def _equatorial_block(draw):
+    """(res, h, w, i0, j0): an h x w block of res cells whose top-left cell is
+    row i0, column j0 of the global lattice anchored at (-2F, 3F/2), kept in
+    the equatorial band (rows n..2n-1, columns 0..4n-1, n = 3**res)."""
+    res = draw(st.integers(min_value=1, max_value=12))
+    n = 3 ** res
+    h = draw(st.integers(min_value=1, max_value=min(n, 64)))
+    w = draw(st.integers(min_value=1, max_value=min(4 * n, 64)))
+    i0 = draw(st.integers(min_value=n, max_value=2 * n - h))
+    j0 = draw(st.integers(min_value=0, max_value=4 * n - w))
+    return res, h, w, i0, j0
+
+
+class TestCellsToRasterProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(block=_equatorial_block())
+    @example(block=(5, 7, 2, 272, 8))     # floor(6.9999999...) dropped a row
+    def test_cells_meta_raster_equals_source(self, ray_session, block):
+        """cells -> meta_from_cells -> cells_to_raster_array reproduces the
+        source block exactly: no row or column lost to a float floor."""
+        import ray.data as rd
+        res, h, w, i0, j0 = block
+        cw = G3.cell_width(res)
+        ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        cells = cell_from_point(res, -2 * F + (j0 + jj.ravel() + 0.5) * cw,
+                                1.5 * F - (i0 + ii.ravel() + 0.5) * cw, G3)
+        src = np.arange(1, h * w + 1, dtype=np.int32).reshape(1, h, w)
+        ds = rd.from_arrow(pa.table({"cellid": pa.array(cells, pa.string()),
+                                     "band1": pa.array(src.ravel())}))
+        meta = meta_from_cells(cells, G3, nodata=0, dtype="int32")
+        arr, _ = cells_to_raster_array(ds, meta=meta, grid=G3)
+        assert arr.shape == src.shape
+        assert np.array_equal(arr, src)
 
 
 class TestRoundtrip:

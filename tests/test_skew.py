@@ -9,6 +9,7 @@ one row per block before any exchange, so skew cannot concentrate load.
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 N = 2_000_000
@@ -65,6 +66,45 @@ class TestSkewedGroupby:
             assert got[int(uk[j])] == int(sums[j])
         assert sum(got.values()) == int(val.sum())
 
+    @pytest.mark.parametrize("n_keys", [3, 1_000_000])
+    @pytest.mark.parametrize("blocks", [1, 4, 32])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sized_groupby_matches_one_arrow_group_by(self, ray_session,
+                                                      blocks, n_keys, seed):
+        """Sum/Min/Max/Count (rows, and non-null values) over 1, 4 and 32
+        blocks, low- and high-cardinality keys, equal a single pyarrow
+        group_by — including the Max over a packed majority score that
+        regrid_majority's argmax relies on."""
+        import ray.data as rd
+        from ray.data.aggregate import Count, Max, Min, Sum
+        from dggsray.ops.cellify import _MAJ_BIAS, _MAJ_K
+        from dggsray.ops.joins import sized_groupby
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(blocks, 4000))
+        cnt = rng.integers(1, 2**20, n)
+        val = rng.integers(-_MAJ_BIAS, _MAJ_BIAS, n)
+        v = rng.integers(-1000, 1000, n)
+        t = pa.table({"k": rng.integers(0, n_keys, n),
+                      "v": pa.array(v, mask=rng.random(n) < 0.1),
+                      "score": cnt * _MAJ_K + (_MAJ_K - 1 - (val + _MAJ_BIAS))})
+        cuts = np.linspace(0, n, blocks + 1).astype(int)
+        ds = rd.from_arrow([t.slice(a, b - a)
+                            for a, b in zip(cuts[:-1], cuts[1:])])
+        got = pa.Table.from_pylist(sized_groupby(
+            ds, "k", Sum("v", alias_name="sum"), Min("v", alias_name="min"),
+            Max("v", alias_name="max"), Count(alias_name="count"),
+            Count("v", ignore_nulls=True, alias_name="count_v"),
+            Max("score", alias_name="best")).take_all()).sort_by("k")
+        cols = ["k", "sum", "min", "max", "count", "count_v", "best"]
+        want = t.group_by("k").aggregate(
+            [("v", "sum"), ("v", "min"), ("v", "max"), ([], "count_all"),
+             ("v", "count"), ("score", "max")]) \
+            .rename_columns(cols).sort_by("k")
+        for c in cols:
+            assert got.column(c).to_pylist() == want.column(c).to_pylist(), c
+
     def test_majority_regrid_hot_cell(self, ray_session):
         """Majority per cell with one cell holding 50% of all rows; ties
         break to the smallest value (the documented contract)."""
@@ -106,6 +146,26 @@ class TestMajorityNegativeValues:
         out = regrid_majority(rd.from_arrow(t), "v").take_all()
         got = {r["cellid"]: r["majority_value"] for r in out}
         assert got == {"N0": -1, "N1": 3}
+
+    def test_float_values_raise_type_error(self, ray_session):
+        """A non-integer value column fails loudly and names the mapping
+        helper (regression: floats silently took a separate slow path)."""
+        import ray.data as rd
+        from dggsray.ops.cellify import regrid_majority
+        t = pa.table({"cellid": pa.array(["N0", "N0", "N1"]),
+                      "v": pa.array([1.5, 1.5, 2.0])})
+        with pytest.raises(Exception,
+                           match=r"TypeError: .*feature_class_values"):
+            regrid_majority(rd.from_arrow(t), "v").take_all()
+
+    @pytest.mark.parametrize("v", [2**20, 2**40, -2**20 - 1])
+    def test_values_outside_packed_range_raise(self, ray_session, v):
+        import ray.data as rd
+        from dggsray.ops.cellify import regrid_majority
+        t = pa.table({"cellid": pa.array(["N0", "N0", "N1"]),
+                      "v": pa.array([v, v, 0], pa.int64())})
+        with pytest.raises(Exception, match=r"ValueError: majority value out"):
+            regrid_majority(rd.from_arrow(t), "v").take_all()
 
 
 class TestKnnPrefixFallback:
