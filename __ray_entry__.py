@@ -25,7 +25,7 @@ _RES_MAJ = 2
 
 def entry() -> Any:
     from dggsray.pipelines.flagship import flagship_pipeline
-    return flagship_pipeline(sf=0.001, concurrency=(1, 4))
+    return flagship_pipeline(sf=0.001)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

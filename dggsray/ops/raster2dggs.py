@@ -10,8 +10,9 @@ raster_to_rhealpix (+ rhealpix_file_to_geodataframe):
   per-pixel cell_from_point explode loop         -> vectorized cell_from_point over
      (rhpx_gdf_helper.py:85-118)                    the aligned lattice
 
-The stage is a callable CLASS for map_batches actor pools: projection context and
-grid tables are built once per actor (__init__), batches stream through __call__.
+The stage is a callable class: the projection context is built once per instance
+(__init__) and batches stream through __call__ (pipelines.flagship builds one per
+block inside a plain Ray task).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from ..io.imagetable import decode_image
 
 
 class ImageToCells:
-    """map_batches actor: image rows (bytes,w,h,fmt + footprint bbox) -> cell rows
+    """Callable stage: image rows (bytes,w,h,fmt + footprint bbox) -> cell rows
     (image_id, cellid, band1, band2, band3).
 
     dst_resolution_idx: fixed DGGS resolution of the output lattice (the flagship
@@ -666,13 +667,3 @@ def nc4_to_tiles(path: str, var: str | None = None,
 
     tiles = rd.from_items(spans).map_batches(decode, batch_format="pyarrow")
     return tiles, meta
-
-
-def images_to_cells(ds, dst_resolution_idx: int, grid: GridConfig = DEFAULT_GRID,
-                    concurrency=(2, 8), batch_size: int = 64, verify: bool = False):
-    """Pipeline stage: image table -> cell rows via an actor pool (decode state and
-    projection tables live per actor)."""
-    return ds.map_batches(ImageToCells, fn_constructor_kwargs={
-        "dst_resolution_idx": dst_resolution_idx, "grid": grid, "verify": verify},
-        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
-        max_restarts=0)

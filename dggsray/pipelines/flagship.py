@@ -1,12 +1,16 @@
 """The flagship end-to-end pipeline (BASELINE.json metric):
 
-    image+caption table -> decode (actor pool) -> rHEALPix warp+explode to cell rows
-    -> join with vector-side polygon cells on cellid -> per-image aggregate.
+    image+caption table -> [read -> decode -> rHEALPix warp to packed cell keys
+    -> probe the burned-polygon cell index -> per-image aggregate]
 
-This is the reference's raster->rHPX conversion (SURVEY.md section 3.1) and
-vector->rHPX rasterize (section 3.2) composed into the cell-join the north_star
-describes, expressed as one streaming Ray Data pipeline.  Throughput metric:
-images/sec end-to-end.
+one plain Ray task per image-table file.  This is the reference's raster->rHPX
+conversion (SURVEY.md section 3.1) and vector->rHPX rasterize (section 3.2)
+composed into the cell-join the north_star describes.  The join is a function
+map with `batch_size=None` on Ray's task pool, which Ray fuses into the
+parquet read (`ReadParquet->MapBatches(...)`): pixels probe a sorted vector
+index inside the same streaming pass that reads them (the Raptor shape,
+PAPERS.md), with no actor pool and no separate operator stage.  Throughput
+metric: images/sec end-to-end.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import pyarrow as pa
 from ..core.rhpx import DEFAULT_GRID, GridConfig
 from ..io.imagetable import (ensure_image_table, read_image_table,
                              _CLUSTER_LON, _CLUSTER_LAT)
-from ..ops.raster2dggs import ImageToCells, images_to_cells
+from ..ops.raster2dggs import ImageToCells
 from ..ops.vector2dggs import burn_polygons_to_cells, feature_class_values
 
 FLAGSHIP_RES = 8
@@ -87,43 +91,43 @@ def vector_cells_table(res: int = FLAGSHIP_RES,
 def vector_cells_sorted(res: int = FLAGSHIP_RES,
                         grid: GridConfig = DEFAULT_GRID):
     """(sorted packed-int64 cell keys, aligned value array) — the broadcast
-    join index, pre-sorted once on the driver so actor constructors are
-    trivial."""
+    join index, pre-sorted once on the driver so the per-block kernel
+    constructors are trivial."""
     _, c, v = _vector_cells_cached(res, (grid.n_side, grid.north_square,
                                          grid.south_square))
     return c, v
 
 
 class ImageCellJoinAgg(ImageToCells):
-    """Fused flagship stage: decode -> warp to cells -> broadcast cell join ->
-    per-image aggregate, all inside one actor __call__.
+    """Flagship join kernel: decode -> warp to cells -> broadcast cell join ->
+    per-image aggregate, all inside one `__call__` on a batch of image rows.
 
-    The fusion is the scale design, not a shortcut: every image's cell rows are
-    produced inside a single task (images are the natural partition of a 10^12-row
-    image table), and the vector side is a broadcast lookup (sorted cell array +
-    np.searchsorted), so the per-image join+majority needs NO shuffle at any
-    input size.  The cell-level groupby shuffles live in the regrid queries
-    (ops.cellify), where cross-image aggregation genuinely requires them.
+    Every image's cell rows are produced and consumed inside a single call
+    (images are the natural partition of a 10^12-row image table), and the
+    vector side is a broadcast lookup (sorted cell array + np.searchsorted),
+    so the per-image join+majority needs NO shuffle at any input size.  The
+    cell-level groupby shuffles live in the regrid queries (ops.cellify),
+    where cross-image aggregation genuinely requires them.
+
+    The pipelines build one instance per block inside a plain Ray task (see
+    `_join_block`); construction is cheap, so there is no long-lived state to
+    keep in an actor.
+
+    `poly_ref` is the join index in one of three forms:
+    - `[ref]`: a 1-element list wrapping a `ray.ObjectRef` to the
+      `(sorted keys, values)` pair of `vector_cells_sorted`.  The ~13 MB
+      index is put into the object store once per pipeline and fetched
+      zero-copy here; the list keeps Ray from resolving the ref itself;
+    - that `(keys, values)` pair by value;
+    - a `(cellid, value)` string table, packed here via cell centroids.
     """
 
     def __init__(self, poly_ref, **kw):
         super().__init__(**kw)
-        # Broadcast contract: poly_ref is a 1-element list WRAPPING a
-        # ray.ObjectRef ([ref]).  A nested ref is NOT resolved by Ray's
-        # actor-argument path, so the ray#53727 restart defect (raw ObjectRef
-        # constructor args — the round-1 driver-bench raylet abort) cannot
-        # trigger (restarts are additionally disabled via max_restarts=0), and
-        # the ~13 MB cell index is fetched zero-copy from the LOCAL object
-        # store instead of being serialized into the transform closure — the
-        # by-value variant measurably delayed the first actor call by ~4 s.
-        # Tuples/Tables by value are still accepted for driver-side use.
         self.use_keys = True       # join on packed int64 keys, never strings
         if isinstance(poly_ref, list):
             import ray
             poly_ref = ray.get(poly_ref[0])
-        elif not isinstance(poly_ref, (tuple, pa.Table)):
-            import ray
-            poly_ref = ray.get(poly_ref)
         if isinstance(poly_ref, pa.Table):
             # (cellid, value) string table: pack via centroids
             from ..core.rhpx import cell_centroid, cell_keys_from_point
@@ -181,8 +185,8 @@ class ImageCellJoinAgg(ImageToCells):
 class TimedImageCellJoinAgg(ImageCellJoinAgg):
     """ImageCellJoinAgg that appends one '(start, end, rows)' line per call to
     $GRAFT_CALLLOG/<pid>.log — used by bench --scaling to compute SUSTAINED
-    steady-state throughput (the middle of the run, pool fully active).  The
-    wall-clock window of a short single-box run is ramp(pool spawn + imports)
+    steady-state throughput (the middle of the run, all workers busy).  The
+    wall-clock window of a short single-box run is ramp(worker spawn + imports)
     + steady + tail; on a long-running cluster job ramp and tail amortize to
     zero, so the sustained rate is the honest N-vs-4N quantity."""
 
@@ -191,13 +195,14 @@ class TimedImageCellJoinAgg(ImageCellJoinAgg):
         import os
         d = os.environ.get("GRAFT_CALLLOG", "/tmp/dggsray_calllog")
         os.makedirs(d, exist_ok=True)
-        self._logf = open(f"{d}/{os.getpid()}.log", "a", buffering=1)
+        self._log_path = f"{d}/{os.getpid()}.log"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import time
         t0 = time.time()
         out = super().__call__(batch)
-        self._logf.write(f"{t0:.4f} {time.time():.4f} {batch.num_rows}\n")
+        with open(self._log_path, "a") as f:
+            f.write(f"{t0:.4f} {time.time():.4f} {batch.num_rows}\n")
         return out
 
 
@@ -227,6 +232,57 @@ def sustained_throughput(log_dir: str, lo_q: float = 0.1,
     return float(rows[inside].sum() / (t_hi - t_lo))
 
 
+# Per-call image cap for the join kernel: the concatenated per-call lattice
+# (images x 4096 pixel cells) must stay inside the LLC working set — measured
+# 0.33 ms/img at <=1250 images/call vs 3.13 ms/img at 5555 (cache thrash in
+# the packed-key searchsorted probe).  A block is one task; `_join_block`
+# slices it into calls of this size.
+FLAGSHIP_BATCH = 625
+
+
+def _join_block(block: pa.Table, cls, poly_ref, res: int, grid: GridConfig,
+                verify: bool, batch_size: int) -> pa.Table:
+    """One task: join a whole block of image rows, `batch_size` rows per
+    kernel call.  The kernel is built here, per block: that is a zero-copy
+    `ray.get` of the index plus a trivial constructor."""
+    op = cls(poly_ref=poly_ref, dst_resolution_idx=res, grid=grid,
+             verify=verify)
+    starts = range(0, block.num_rows, batch_size) or [0]
+    return pa.concat_tables([op(block.slice(i, batch_size)) for i in starts])
+
+
+def _join_images(ds, res: int, grid: GridConfig, verify: bool,
+                 batch_size: int = FLAGSHIP_BATCH, cls=ImageCellJoinAgg):
+    """Image-row Dataset -> per-image join result, one plain task per block.
+
+    `batch_size=None` and a task-pool function are what let Ray fuse this map
+    into an upstream read (one `ReadParquet->MapBatches(...)` operator): a
+    `batch_size` after a read, or a read that splits its blocks, breaks the
+    fusion, and the unfused image blocks then stay resident in long-lived
+    workers (flagship_join peak RSS +26-31% at 4 CPUs)."""
+    import ray
+
+    # nested-ref broadcast: put once, fetched zero-copy per block
+    poly_idx = [ray.put(vector_cells_sorted(res, grid))]
+    return ds.map_batches(
+        _join_block, batch_format="pyarrow", batch_size=None,
+        fn_kwargs={"cls": cls, "poly_ref": poly_idx, "res": res, "grid": grid,
+                   "verify": verify, "batch_size": batch_size})
+
+
+def _read_images(path: str):
+    """The image table with one read task per parquet file, and at least one
+    per CPU: a read that does not split files fuses with the join map."""
+    import glob
+    import os
+
+    import ray
+
+    n_files = len(glob.glob(os.path.join(path, "*.parquet")))
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return read_image_table(path, override_num_blocks=max(n_files, cpus))
+
+
 def flagship_resumable(sf: float, out_dir: str, res: int = FLAGSHIP_RES,
                        grid: GridConfig = DEFAULT_GRID, n_parts: int | None = None,
                        fail_after: int | None = None):
@@ -241,8 +297,6 @@ def flagship_resumable(sf: float, out_dir: str, res: int = FLAGSHIP_RES,
     files = sorted(glob.glob(f"{path}/*.parquet"))
 
     shard_by_rows = len(files) < (n_parts or len(files))
-    op = ImageCellJoinAgg(poly_ref=vector_cells_sorted(res, grid),
-                          dst_resolution_idx=res, grid=grid)
 
     def make(part_files, part, nparts):
         import ray.data as rd
@@ -257,86 +311,35 @@ def flagship_resumable(sf: float, out_dir: str, res: int = FLAGSHIP_RES,
                                  for i in ids], dtype=bool)   # bool even when
                 return b.filter(pa.array(mask))               # the batch is empty
             ds = ds.map_batches(keep, batch_format="pyarrow")
-        # task pool with one shared operator instance (serialized once into the
-        # object store): avoids paying actor-pool startup per partition on the
-        # many small partitions of a resumable run
-        return ds.map_batches(op, batch_format="pyarrow", batch_size=64)
+        return _join_images(ds, res, grid, verify=False)
 
     return run_resumable(files, out_dir, make, n_parts, fail_after)
 
 
-def _flagship_blocks(n_images: int, concurrency: int,
-                     rounds: int = 3, epochs: int = 1) -> int:
-    """Input block count sized to the pool: ~`rounds` tasks per actor across
-    the whole run, capped so a block stays under ~12.5k images (memory) and
-    floored at one task per actor per epoch.  Scales with the cluster instead
-    of the data, so the task dispatch rate stays far below the scheduler's
-    single-thread ceiling at any CPU count."""
-    if isinstance(concurrency, tuple):   # autoscaling (min, max) pool
-        concurrency = concurrency[-1]
-    per_epoch = max(1, (rounds * concurrency) // max(1, epochs))
-    per_epoch = max(per_epoch, concurrency)
-    per_epoch = max(per_epoch, n_images // 12_500 + 1)
-    return int(min(per_epoch, 4096))
-
-
-def _flagship_concurrency() -> int:
-    """Actor pool size: all CPUs minus ~1/8 reserved for the read stage and
-    Ray system threads (floor 1 reserved).  Swept at 6 cpus: pool=5 gives
-    7.7k img/s vs 3.7k at pool=3 (cpus-3 over-reserved at small N); at 24
-    cpus pool=21 was the sweep winner (20.1k/31.0k/33.4k/34.7k img/s for
-    pools 12/15/18/21)."""
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(2, cpus - max(1, cpus // 8))
-
-
-# Per-batch image cap for the fused join kernel: the concatenated per-batch
-# lattice (images x 4096 pixel cells) must stay inside the LLC working set —
-# measured 0.33 ms/img at <=1250 images/batch vs 3.13 ms/img at 5555 (cache
-# thrash in the packed-key searchsorted probe).  Blocks stay pool-sized for
-# dispatch amortization; Ray slices them into batches inside the actor.
-FLAGSHIP_BATCH = 625
-
-
 def flagship_pipeline(sf: float, res: int = FLAGSHIP_RES,
-                      grid: GridConfig = DEFAULT_GRID,
-                      concurrency=None, verify: bool = False,
+                      grid: GridConfig = DEFAULT_GRID, verify: bool = False,
                       batch_size=FLAGSHIP_BATCH):
     """Returns the per-image result Dataset:
     (image_id, n_cells, n_matched, majority_value).
 
-    Tuning (measured at sf0.1, see BENCH/): task count is sized to the
-    ACTOR POOL (~6 task rounds per actor), not to a fixed per-block image
-    count — with fixed-size blocks the 32-cpu pool needs task dispatch faster
-    than the single-threaded scheduler can feed (~30 blocks/s measured);
-    batch_size caps the in-actor working set (see FLAGSHIP_BATCH)."""
-    import ray
-    import ray.data as rd
-
-    from ..io.imagetable import n_images_for_sf
-
-    path = ensure_image_table(sf)
-    n_images = n_images_for_sf(sf)
-    if concurrency is None:
-        concurrency = _flagship_concurrency()
-    blocks = _flagship_blocks(n_images, concurrency)
-    imgs = read_image_table(path, override_num_blocks=blocks)
-    # nested-ref broadcast: plasma-shared, restart-safe (see ImageCellJoinAgg)
-    poly_idx = [ray.put(vector_cells_sorted(res, grid))]
-    return imgs.map_batches(
-        ImageCellJoinAgg,
-        fn_constructor_kwargs={"poly_ref": poly_idx, "dst_resolution_idx": res,
-                               "grid": grid, "verify": verify},
-        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
-        max_restarts=0)
+    Runs as one fused `ReadParquet->MapBatches(_join_block)` operator when the
+    image table has at least as many parquet files as the cluster has CPUs:
+    each task reads one file and joins it, `batch_size` images per kernel call
+    (see FLAGSHIP_BATCH).  With fewer files the read splits them to use every
+    CPU and the join runs as separate plain tasks.  Parallelism therefore
+    follows the table's file count; there is no actor pool to size."""
+    return _join_images(_read_images(ensure_image_table(sf)), res, grid,
+                        verify, batch_size)
 
 
 def flagship_epochs(sf: float, epochs: int, res: int = FLAGSHIP_RES,
                     grid: GridConfig = DEFAULT_GRID, verify: bool = True,
                     materialize_input: bool = False):
-    """Union of `epochs` passes over the image table through one shared actor
-    pool — the steady-state throughput measurement used by bench --scaling.
+    """Union of `epochs` passes over the image table through the same plain
+    per-block join tasks as `flagship_pipeline` — the steady-state throughput
+    measurement used by bench --scaling (which sets $GRAFT_CALLLOG to log
+    every kernel call, see TimedImageCellJoinAgg).  With epochs > 1 the union
+    sits between the reads and the join, so the two do not fuse.
 
     materialize_input=True loads the input blocks into the object store ONCE
     and unions the materialized dataset: used by the N-vs-4N scaling
@@ -346,31 +349,18 @@ def flagship_epochs(sf: float, epochs: int, res: int = FLAGSHIP_RES,
     img/s at 24 cpus).  A real 4N-node cluster reads its shards from
     node-local/distributed storage, so read bandwidth scales WITH the cluster;
     the headline bench keeps the honest cold read."""
-    import ray
-    import ray.data as rd
-
-    from ..io.imagetable import n_images_for_sf
+    import os
 
     path = ensure_image_table(sf)
-    n_images = n_images_for_sf(sf)
-    concurrency = _flagship_concurrency()
-    blocks = _flagship_blocks(n_images, concurrency, epochs=epochs)
     if materialize_input:
-        base = read_image_table(path, override_num_blocks=blocks).materialize()
+        base = _read_images(path).materialize()
         ds = base
         for _ in range(epochs - 1):
             ds = ds.union(base)
     else:
-        ds = read_image_table(path, override_num_blocks=blocks)
+        ds = _read_images(path)
         for _ in range(epochs - 1):
-            ds = ds.union(read_image_table(path, override_num_blocks=blocks))
-    poly_idx = [ray.put(vector_cells_sorted(res, grid))]
-    import os
+            ds = ds.union(_read_images(path))
     cls = TimedImageCellJoinAgg if os.environ.get("GRAFT_CALLLOG") \
         else ImageCellJoinAgg
-    return ds.map_batches(
-        cls,
-        fn_constructor_kwargs={"poly_ref": poly_idx, "dst_resolution_idx": res,
-                               "grid": grid, "verify": verify},
-        batch_format="pyarrow", batch_size=FLAGSHIP_BATCH,
-        concurrency=concurrency, max_restarts=0)
+    return _join_images(ds, res, grid, verify, cls=cls)

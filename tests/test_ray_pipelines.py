@@ -15,13 +15,13 @@ def ray_ok(ray_session):
 class TestFlagship:
     def test_flagship_deterministic(self, ray_ok):
         from dggsray.pipelines.flagship import flagship_pipeline
-        df1 = flagship_pipeline(sf=0.001, concurrency=2).to_pandas() \
+        df1 = flagship_pipeline(sf=0.001).to_pandas() \
             .sort_values("image_id").reset_index(drop=True)
-        df2 = flagship_pipeline(sf=0.001, concurrency=3, batch_size=32).to_pandas() \
+        df2 = flagship_pipeline(sf=0.001, batch_size=32).to_pandas() \
             .sort_values("image_id").reset_index(drop=True)
         assert len(df1) == 500
         assert (df1.n_cells > 0).all()
-        # determinism across parallelism/batching
+        # determinism across batching
         import pandas as pd
         pd.testing.assert_frame_equal(df1, df2)
         # the clustered images overlap the cluster polygons
