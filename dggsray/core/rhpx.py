@@ -34,6 +34,9 @@ from .ellipsoid import R_A, auth_lat_fwd, auth_lat_inv
 PI = math.pi
 FACE_CHARS = "NOPQRS"
 _FACE_BYTES = np.frombuffer(b"NOPQRS", dtype=np.uint8)
+# byte -> face index 0..5; 6 marks a byte that is not a face letter
+_FACE_INDEX = np.full(256, 6, dtype=np.int64)
+_FACE_INDEX[_FACE_BYTES] = np.arange(6)
 
 # Planar face width in meters: cell_width(0).
 F = (PI / 2.0) * R_A
@@ -334,7 +337,7 @@ def cell_from_point(res_idx: int, x, y, grid: GridConfig = DEFAULT_GRID):
     x0 = fx0[np.clip(face, 0, 5)]
     ytop = fytop[np.clip(face, 0, 5)]
     n = grid.n_side
-    chars = np.zeros((x.shape[0], res_idx + 2), dtype=np.uint8)  # +1 for face, +1 pad
+    chars = np.zeros((x.shape[0], res_idx + 1), dtype=np.uint8)  # +1 for face
     chars[:, 0] = _FACE_BYTES[np.clip(face, 0, 5)]
     if res_idx > 0:
         # one float division at the target resolution, then pure-integer base-n
@@ -348,8 +351,7 @@ def cell_from_point(res_idx: int, x, y, grid: GridConfig = DEFAULT_GRID):
             chars[:, level] = 48 + digit.astype(np.uint8)
             col //= n
             row //= n
-    out = chars[:, : res_idx + 1].copy().view(f"S{res_idx + 1}").ravel()
-    result = out.astype("U")
+    result = chars.astype(np.uint32).view(f"U{res_idx + 1}").ravel()
     result[~ok] = ""
     return result
 
@@ -389,28 +391,109 @@ def cells_from_lonlat(res_idx: int, lon_deg, lat_deg, grid: GridConfig = DEFAULT
     return cell_from_point(res_idx, x, y, grid)
 
 
+# ---------------------------------------------------------------------------
+# Cell-id codec: uniform-resolution cell ids as an (n, res+1) uint8 byte matrix
+# ---------------------------------------------------------------------------
+# One row per cell: the face byte, then one ASCII digit per level.  Arrow string
+# columns are viewed in place (a uniform-width column's data buffer already IS
+# this matrix), numpy unicode arrays are narrowed from their UCS-4 code units,
+# and `cellids_to_arrow` builds a string column straight from the matrix with
+# arithmetic offsets, so no Python str is created on either side.  Malformed
+# ids (nulls, empty ids, a face outside NOPQRS, a digit >= N_side^2) raise.
+
+def _arrow_cell_bytes(a) -> np.ndarray:
+    """Zero-copy (n, w) uint8 view of a string/large_string Arrow array."""
+    import pyarrow as pa
+
+    if not (pa.types.is_string(a.type) or pa.types.is_large_string(a.type)):
+        a = a.cast(pa.string())
+    if a.null_count:
+        raise ValueError("null cellid")
+    n = len(a)
+    if n == 0:
+        return np.zeros((0, 1), dtype=np.uint8)
+    _, offs, data = a.buffers()
+    otype = np.int64 if pa.types.is_large_string(a.type) else np.int32
+    offsets = np.frombuffer(offs, dtype=otype)[a.offset: a.offset + n + 1]
+    start, w = int(offsets[0]), int(offsets[1] - offsets[0])
+    if not (np.diff(offsets) == w).all():
+        raise ValueError("all cellids must share one resolution")
+    if w == 0:
+        raise ValueError("empty cellid")
+    return np.frombuffer(data, dtype=np.uint8)[start: start + n * w].reshape(n, w)
+
+
+def _numpy_cell_bytes(cellids) -> np.ndarray:
+    """(n, w) uint8 matrix of a numpy unicode (or object) cellid array,
+    narrowed from its UCS-4 code units."""
+    arr = np.asarray(cellids).ravel()
+    if arr.dtype == object and np.equal(arr, None).any():
+        raise ValueError("null cellid")
+    arr = np.ascontiguousarray(arr, dtype="U")
+    if arr.size == 0:
+        return np.zeros((0, 1), dtype=np.uint8)
+    k = arr.dtype.itemsize // 4
+    u = arr.view(np.uint32).reshape(arr.size, k)
+    w = len(arr[0])
+    if w == 0:
+        raise ValueError("empty cellid")
+    if not (u[:, w - 1] != 0).all() or (w < k and (u[:, w] != 0).any()):
+        raise ValueError("all cellids must share one resolution")
+    if u[:, :w].max() > 127:
+        raise ValueError("non-ASCII cellid")
+    return u[:, :w].astype(np.uint8)
+
+
+def _cellid_bytes(cellids, n_side: int) -> np.ndarray:
+    """Uniform-resolution cell ids -> validated (n, res+1) uint8 byte matrix:
+    every row must be a face byte followed by base-n_side^2 ASCII digits.
+
+    Accepts a pyarrow (Chunked)Array of strings, a numpy U/object array or any
+    sequence numpy turns into one."""
+    import pyarrow as pa
+
+    if isinstance(cellids, pa.ChunkedArray):
+        cellids = cellids.combine_chunks()
+    if isinstance(cellids, pa.Array):
+        b = _arrow_cell_bytes(cellids)
+    else:
+        b = _numpy_cell_bytes(cellids)
+    if b.shape[0] and _FACE_INDEX[b[:, 0]].max() > 5:
+        raise ValueError(f"cellid face not in {FACE_CHARS}")
+    # uint8 wrap-around sends bytes below '0' past the digit range too
+    if b.shape[0] and b.shape[1] > 1 and \
+            (b[:, 1:] - np.uint8(48)).max() >= n_side * n_side:
+        raise ValueError(f"cellid digit outside 0..{n_side * n_side - 1}")
+    return b
+
+
+def cellids_to_arrow(cells, grid: GridConfig = DEFAULT_GRID):
+    """Uniform-resolution cell ids -> pa.StringArray, built from the byte
+    matrix with arithmetic offsets (no per-element decode)."""
+    import pyarrow as pa
+
+    b = _cellid_bytes(cells, grid.n_side)
+    n, w = b.shape
+    offsets = np.arange(0, (n + 1) * w, w, dtype=np.int32)
+    return pa.StringArray.from_buffers(n, pa.py_buffer(offsets), pa.py_buffer(b))
+
+
 def _parse_cellids(cellids, grid: GridConfig):
     """cellid strings (uniform resolution) -> (face_idx, col, row, res).
 
     col/row are the cell's integer grid position inside its face at its resolution.
     """
-    arr = np.asarray(cellids, dtype="U")
-    if arr.size == 0:
+    b = _cellid_bytes(cellids, grid.n_side)
+    if b.shape[0] == 0:
         return (np.zeros(0, np.int64),) * 3 + (0,)
-    lens = np.char.str_len(arr)
-    res = int(lens[0]) - 1
-    if not np.all(lens == res + 1):
-        raise ValueError("all cellids must share one resolution")
-    b = arr.astype(f"S{res + 1}").view(np.uint8).reshape(arr.size, res + 1)
-    face = np.searchsorted(_FACE_BYTES, b[:, 0])
+    res = b.shape[1] - 1
     n = grid.n_side
-    col = np.zeros(arr.size, dtype=np.int64)
-    row = np.zeros(arr.size, dtype=np.int64)
-    for level in range(1, res + 1):
-        digit = (b[:, level] - 48).astype(np.int64)
-        col = col * n + digit % n
-        row = row * n + digit // n
-    return face, col, row, res
+    digits = b[:, 1:] - np.uint8(48)
+    # level weights n^(res-1) .. 1: each digit's column/row part in base n
+    place = n ** np.arange(res - 1, -1, -1, dtype=np.int64)
+    col = (digits % n).astype(np.int64) @ place
+    row = (digits // n).astype(np.int64) @ place
+    return _FACE_INDEX[b[:, 0]], col, row, res
 
 
 def cell_ul_vertex(cellids, grid: GridConfig = DEFAULT_GRID):

@@ -14,7 +14,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.rhpx import DEFAULT_GRID, GridConfig, cells_from_lonlat, cell_centroid
-from ..core.cells import truncate_to_resolution
 
 
 def add_cellid_batch(batch: pa.Table, lon_col: str, lat_col: str, res: int,
@@ -37,21 +36,19 @@ def with_cellid(ds, lon_col: str, lat_col: str, res: int,
 
 def add_centroid_batch(batch: pa.Table, cell_col: str = "cellid",
                        grid: GridConfig = DEFAULT_GRID) -> pa.Table:
-    cells = batch.column(cell_col).to_numpy(zero_copy_only=False)
-    x, y = cell_centroid(cells, grid)
+    x, y = cell_centroid(batch.column(cell_col), grid)
     return batch.append_column("x", pa.array(x)).append_column("y", pa.array(y))
 
 
 def _at_resolution(ds, cell_col: str, res: int | None):
-    """Coarsen the cell column to `res` (the identity when res is None)."""
+    """Coarsen the cell column to `res` (the identity when res is None);
+    cells already coarser than `res` pass through unchanged."""
     if res is None:
         return ds
 
     def coarsen(b: pa.Table) -> pa.Table:
-        cells = truncate_to_resolution(
-            b.column(cell_col).to_numpy(zero_copy_only=False), res)
-        return b.set_column(b.schema.get_field_index(cell_col), cell_col,
-                            pa.array(cells, pa.string()))
+        cells = pc.utf8_slice_codeunits(b.column(cell_col), 0, res + 1)
+        return b.set_column(b.schema.get_field_index(cell_col), cell_col, cells)
 
     return ds.map_batches(coarsen, batch_format="pyarrow")
 

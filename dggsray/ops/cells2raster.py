@@ -7,10 +7,12 @@ row at rowcol(centroid)) and rhealpix_data_frame_to_geodataframe (:368-445: deri
 bounds from cell vertices, res from cell_width, floor-based height/width with a
 min of 1; here the floor first snaps float error, see `_cells_across`).
 
-The scatter needs no shuffle: each block maps its rows to flat pixel indices
-row*W + col (dropping rows outside the window), and the calling process writes
-those blocks straight into the (bands, H, W) array it returns — the raster is
-built in its own pixel layout, as Raptor (VLDB 2019, PAPERS.md) argues for."""
+The scatter needs no shuffle and no map stage: the calling process pulls each
+block of the cell table as it is, decodes its Arrow cellid column in place to
+centroids, turns them into flat pixel indices row*W + col (dropping rows
+outside the window) and writes the block's band values straight into the
+(bands, H, W) array it returns — the raster is built in its own pixel layout,
+as Raptor (VLDB 2019, PAPERS.md) argues for."""
 from __future__ import annotations
 
 import math
@@ -73,9 +75,8 @@ def meta_from_cells_ds(ds, grid: GridConfig = DEFAULT_GRID,
     from ray.data.aggregate import Max, Min
 
     def partial(b: pa.Table) -> pa.Table:
-        cells = b.column(cell_col).to_numpy(zero_copy_only=False) \
-            .astype("U")
-        if cells.size == 0:
+        cells = b.column(cell_col)
+        if len(cells) == 0:
             return pa.table({"_minx": pa.array([], pa.float64()),
                              "_maxx": pa.array([], pa.float64()),
                              "_miny": pa.array([], pa.float64()),
@@ -86,7 +87,7 @@ def meta_from_cells_ds(ds, grid: GridConfig = DEFAULT_GRID,
                          "_maxx": [float(ulx.max())],
                          "_miny": [float(uly.min())],
                          "_maxy": [float(uly.max())],
-                         "_len": [int(len(cells[0]))]})
+                         "_len": [len(cells[0].as_py())]})
 
     agg = ds.select_columns([cell_col]) \
         .map_batches(partial, batch_format="pyarrow") \
@@ -121,24 +122,16 @@ def cells_to_raster_array(ds, meta: dict | None = None,
     dtype = np.dtype(meta["dtypes"][0])
     band_cols = [f"band{i + 1}" for i in range(meta["nbands"])]
 
-    def to_pixels(b: pa.Table) -> pa.Table:
-        cells = b.column(cell_col).to_numpy(zero_copy_only=False)
-        cx, cy = cell_centroid(cells, grid)
+    out = np.full((len(band_cols), H * W), meta["nodata"]
+                  if meta["nodata"] is not None else 0, dtype=dtype)
+    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        cx, cy = cell_centroid(b.column(cell_col), grid)
         col = np.floor((cx - left) / res).astype(np.int64)
         row = np.floor((top - cy) / res).astype(np.int64)
         ok = (row >= 0) & (row < H) & (col >= 0) & (col < W)
-        cols = {"_pix": pa.array(row[ok] * W + col[ok])}
-        for bc in band_cols:
-            cols[bc] = b.column(bc).filter(pa.array(ok))
-        return pa.table(cols)
-
-    out = np.full((len(band_cols), H * W), meta["nodata"]
-                  if meta["nodata"] is not None else 0, dtype=dtype)
-    for b in ds.map_batches(to_pixels, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow", batch_size=None):
-        pix = b.column("_pix").to_numpy()
+        pix = row[ok] * W + col[ok]
         for i, bc in enumerate(band_cols):
-            out[i, pix] = b.column(bc).to_numpy().astype(dtype)
+            out[i, pix] = b.column(bc).to_numpy()[ok].astype(dtype)
     return out.reshape(len(band_cols), H, W), meta
 
 

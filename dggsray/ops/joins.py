@@ -16,7 +16,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.cells import truncate_to_resolution
 from ..core.rhpx import DEFAULT_GRID, GridConfig, cell_centroid
 
 
@@ -135,8 +134,7 @@ def broadcast_semi_join(ds, keys, key_col: str = "cellid", res: int | None = Non
         kset = ray.get(key_ref)
         col = batch.column(key_col)
         if res is not None:
-            vals = truncate_to_resolution(col.to_numpy(zero_copy_only=False), res)
-            col = pa.array(vals, pa.string())
+            col = pc.utf8_slice_codeunits(col, 0, res + 1)
         mask = pc.is_in(col, value_set=kset)
         if anti:
             mask = pc.invert(mask)
@@ -158,9 +156,8 @@ def broadcast_lookup_join(ds, lookup: pa.Table, key_col: str = "cellid",
         b = batch
         join_key = key_col
         if res is not None:
-            vals = truncate_to_resolution(
-                b.column(key_col).to_numpy(zero_copy_only=False), res)
-            b = b.append_column("_jk", pa.array(vals, pa.string()))
+            b = b.append_column(
+                "_jk", pc.utf8_slice_codeunits(b.column(key_col), 0, res + 1))
             join_key = "_jk"
         out = b.join(lk, keys=join_key, right_keys=key_col,
                      join_type="inner" if how == "inner" else "left outer")
@@ -373,8 +370,7 @@ def knn_cells(ds, query_cellid: str, k: int, key_col: str = "cellid",
         if prefix:
             batch = batch.filter(pc.starts_with(batch.column(key_col),
                                                 pattern=prefix))
-        cells = batch.column(key_col).to_numpy(zero_copy_only=False)
-        cx, cy = cell_centroid(cells, grid)
+        cx, cy = cell_centroid(batch.column(key_col), grid)
         d = np.sqrt((cx - qx) ** 2 + (cy - qy) ** 2)
         return batch.append_column("dist_m", pa.array(d))
 

@@ -22,7 +22,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.rhpx import (DEFAULT_GRID, GridConfig, align_point, cell_from_point,
-                         cell_keys_from_point, project_fwd, project_inv)
+                         cell_keys_from_point, cellids_to_arrow, project_fwd,
+                         project_inv)
 from ..io.imagetable import decode_image
 
 
@@ -350,7 +351,7 @@ def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
             ys = top - (gr + 0.5) * res
             cells = cell_from_point(res_idx, xs, ys, grid)
             ok = cells != ""
-            outs["cellid"].append(cells[ok])
+            outs["cellid"].append(cellids_to_arrow(cells[ok], grid))
             for i in range(nbands):
                 outs[f"band{i+1}"].append(arr[i][rr[ok], cc[ok]])
         if not outs["cellid"]:
@@ -365,7 +366,7 @@ def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
             if add_uid:
                 schema["uuid"] = pa.array([], pa.string())
             return pa.table(schema)
-        cols = {"cellid": pa.array(np.concatenate(outs["cellid"]), pa.string())}
+        cols = {"cellid": pa.concat_arrays(outs["cellid"])}
         band_arrs = [np.concatenate(outs[f"band{i+1}"]) for i in range(nbands)]
         for i in range(nbands):
             cols[f"band{i+1}"] = pa.array(band_arrs[i])

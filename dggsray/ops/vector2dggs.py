@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from ..core.rhpx import (_FACE_BYTES, DEFAULT_GRID, F, GridConfig,
+from ..core.rhpx import (DEFAULT_GRID, F, GridConfig, _parse_cellids,
                          align_point, cell_from_point,
                          cell_keys_from_point, project_fwd)
 
@@ -29,19 +29,8 @@ def _cellids_to_keys(cells: np.ndarray, res: int,
     """Fixed-resolution cellid strings -> the packed int64 keys
     `cell_keys_from_point` produces (face*side^2 + row*side + col), so
     membership indexes compare 8-byte integers instead of unicode."""
-    cells = np.asarray(cells, dtype="U")
-    if cells.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    n = grid.n_side
-    side = n**res
-    b = cells.astype(f"S{res + 1}").view(np.uint8).reshape(-1, res + 1)
-    face = np.searchsorted(_FACE_BYTES, b[:, 0]).astype(np.int64)
-    row = np.zeros(cells.size, dtype=np.int64)
-    col = np.zeros(cells.size, dtype=np.int64)
-    for level in range(1, res + 1):
-        d = (b[:, level] - 48).astype(np.int64)
-        row = row * n + d // n
-        col = col * n + d % n
+    face, col, row, _ = _parse_cellids(cells, grid)
+    side = grid.n_side**res
     return face * side * side + row * side + col
 
 

@@ -68,12 +68,11 @@ import functools
 def _vector_cells_cached(res: int, grid_key: tuple):
     grid = GridConfig(*grid_key)
     t = burn_polygons_to_cells(synthetic_polygons(), res, grid)
-    cells = t.column("cellid").to_numpy(zero_copy_only=False)
     vals = t.column("value").to_numpy().astype(np.int64)
     # packed int64 join keys (via each cell's centroid — strictly inside the
     # cell, so the key is exact): 8 B/cell instead of a 36+ B unicode cell.
     from ..core.rhpx import cell_centroid, cell_keys_from_point
-    cx, cy = cell_centroid(cells, grid)
+    cx, cy = cell_centroid(t.column("cellid"), grid)
     keys = cell_keys_from_point(res, cx, cy, grid)
     order = np.argsort(keys)
     return t, keys[order], vals[order]
@@ -131,9 +130,8 @@ class ImageCellJoinAgg(ImageToCells):
         if isinstance(poly_ref, pa.Table):
             # (cellid, value) string table: pack via centroids
             from ..core.rhpx import cell_centroid, cell_keys_from_point
-            cells = poly_ref.column("cellid").to_numpy(zero_copy_only=False)
             vals = poly_ref.column("value").to_numpy().astype(np.int64)
-            cx, cy = cell_centroid(cells, self.grid)
+            cx, cy = cell_centroid(poly_ref.column("cellid"), self.grid)
             keys = cell_keys_from_point(self.res, cx, cy, self.grid)
             order = np.argsort(keys)
             poly_ref = (keys[order], vals[order])

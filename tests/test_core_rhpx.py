@@ -7,13 +7,15 @@ import struct
 import zlib
 
 import numpy as np
+import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dggsray.core.ellipsoid import R_A, auth_lat_fwd, auth_lat_inv
 from dggsray.core.rhpx import (
-    DEFAULT_GRID, F, GridConfig, align_point, cell_centroid, cell_from_point,
-    cell_ul_vertex, cell_vertices, cells_from_lonlat, pack_cellids, project_fwd,
-    project_inv, unpack_cellids,
+    DEFAULT_GRID, F, GridConfig, _parse_cellids, align_point, cell_centroid,
+    cell_from_point, cell_ul_vertex, cell_vertices, cellids_to_arrow,
+    cells_from_lonlat, pack_cellids, project_fwd, project_inv, unpack_cellids,
 )
 
 G3 = GridConfig(3, 1, 0)
@@ -217,3 +219,90 @@ class TestPack:
         cids = np.array(["N", "O12345678", "S88", "Q", "R0"])
         f, p, r = pack_cellids(cids, G3)
         assert list(unpack_cellids(f, p, r, G3)) == list(cids)
+
+
+class TestCellidCodec:
+    """The byte-matrix codec between cell-id columns and (face, row, col)."""
+
+    @pytest.mark.parametrize("bad", [
+        # a res-3 null read as "None" parses to row 266 of a 27-row face
+        pa.array(["N123", None, "N345"]),          # null cellid in Arrow
+        np.array(["N123", None], dtype=object),    # ... and in numpy
+        ["N1239"],                                  # digit >= N_side^2
+        ["X123"],                                   # face outside NOPQRS
+        pa.array(["N12", "Z12"]),
+        ["N1/2"],                                   # byte below '0'
+        [""],                                       # empty cellid
+    ], ids=["arrow-null", "object-null", "digit", "face", "arrow-face",
+            "below-zero", "empty"])
+    def test_malformed_cellids_raise(self, bad):
+        with pytest.raises(ValueError):
+            cell_centroid(bad, G3)
+
+    def test_digit_bound_follows_n_side(self):
+        cell_centroid(["N38"], G3)
+        with pytest.raises(ValueError):
+            cell_centroid(["N34"], G2)
+
+    def test_mixed_resolutions_raise(self):
+        for cells in (["N12", "N1"], pa.array(["N12", "N1"]),
+                      pa.chunked_array([["N12"], ["N123"]])):
+            with pytest.raises(ValueError, match="one resolution"):
+                cell_centroid(cells, G3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_side=st.sampled_from([2, 3]),
+           res=st.integers(min_value=0, max_value=15),
+           n=st.integers(min_value=1, max_value=40))
+    def test_codec_forms_agree(self, data, n_side, res, n):
+        grid = G2 if n_side == 2 else G3
+        side = n_side**res
+        face = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n,
+                                           max_size=n)))
+        row = np.array(data.draw(st.lists(st.integers(0, side - 1),
+                                          min_size=n, max_size=n)))
+        col = np.array(data.draw(st.lists(st.integers(0, side - 1),
+                                          min_size=n, max_size=n)))
+        fx0, fytop = grid.face_origins()
+        w = grid.cell_width(res)
+        cells = cell_from_point(res, fx0[face] + (col + 0.5) * w,
+                                fytop[face] - (row + 0.5) * w, grid)
+        assert cells.dtype.kind == "U" and (cells != "").all()
+
+        arrow = cellids_to_arrow(cells, grid)
+        assert arrow.type == pa.string()
+        assert arrow.to_pylist() == cells.tolist()
+        k = data.draw(st.integers(0, n))
+        forms = {
+            "unicode": cells,
+            "object": cells.astype(object),
+            "arrow": arrow,
+            "sliced": cellids_to_arrow(np.concatenate([cells, cells]),
+                                       grid)[n:],
+            "chunked": pa.chunked_array([arrow[:k], arrow[k:]]),
+            "large_string": arrow.cast(pa.large_string()),
+        }
+        assert forms["sliced"].offset == n
+        for name, form in forms.items():
+            f, c, r, got_res = _parse_cellids(form, grid)
+            assert got_res == res, name
+            assert f.tolist() == face.tolist(), name
+            assert c.tolist() == col.tolist(), name
+            assert r.tolist() == row.tolist(), name
+
+        # reference: the object -> U -> S decode the codec replaced
+        u = np.asarray(cells.astype(object), dtype="U")
+        b = u.astype(f"S{res + 1}").view(np.uint8).reshape(n, res + 1)
+        rf = np.searchsorted(np.frombuffer(b"NOPQRS", np.uint8), b[:, 0])
+        rc = np.zeros(n, np.int64)
+        rr = np.zeros(n, np.int64)
+        for level in range(1, res + 1):
+            d = (b[:, level] - 48).astype(np.int64)
+            rc = rc * n_side + d % n_side
+            rr = rr * n_side + d // n_side
+        ref_x = fx0[rf] + (rc + 0.5) * w
+        ref_y = fytop[rf] - (rr + 0.5) * w
+        for form in (cells, arrow, forms["chunked"]):
+            cx, cy = cell_centroid(form, grid)
+            assert cx.tobytes() == ref_x.tobytes()
+            assert cy.tobytes() == ref_y.tobytes()

@@ -56,6 +56,20 @@ class TestCellAssignment:
         assert truncate_to_resolution(np.array([fine]), coarse_res)[0] == coarse
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(_cell, min_size=1, max_size=40),
+           res=st.integers(min_value=0, max_value=7))
+    def test_arrow_prefix_slice_equals_truncate(self, cells, res):
+        """The Arrow kernel the engine truncates cell columns with equals
+        truncate_to_resolution on mixed resolutions: finer cells are cut to
+        res+1 characters, coarser ones pass through unchanged."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        got = pc.utf8_slice_codeunits(pa.array(cells, pa.string()), 0, res + 1)
+        assert got.to_pylist() == \
+            truncate_to_resolution(np.array(cells), res).tolist()
+
+
 class TestPackedOrder:
     @settings(max_examples=100, deadline=None)
     @given(cells=st.lists(_cell, min_size=2, max_size=40))

@@ -126,6 +126,42 @@ class TestCellifyOps:
         out = broadcast_semi_join(ds, ["N1", "Q4"], anti=True).to_pandas()
         assert sorted(out.v) == [2, 3]
 
+    @pytest.mark.parametrize("res", [0, 2, 5])
+    def test_truncating_sites_match_truncate_to_resolution(self, ray_ok, res):
+        """Every cell-column truncation site (regrid coarsening, broadcast
+        semi and lookup joins) keys rows exactly as truncate_to_resolution
+        does, on mixed resolutions including cells coarser than `res`."""
+        import ray.data as rd
+        from dggsray.core.cells import truncate_to_resolution
+        from dggsray.ops.cellify import _at_resolution
+        from dggsray.ops.joins import broadcast_lookup_join, broadcast_semi_join
+        rng = np.random.default_rng(11)
+        lon = rng.uniform(-20, 20, 600)
+        lat = rng.uniform(-20, 20, 600)
+        cells = np.concatenate([cells_from_lonlat(r, lon[i::4], lat[i::4])
+                                for i, r in enumerate((0, 1, 3, 7))])
+        cells = cells.astype(object)
+        exp = truncate_to_resolution(cells, res)
+        ds = rd.from_arrow(pa.table({"cellid": pa.array(cells, pa.string()),
+                                     "i": np.arange(cells.size)}))
+
+        out = _at_resolution(ds, "cellid", res).to_pandas().sort_values("i")
+        assert out.cellid.tolist() == exp.tolist()
+
+        keys = sorted(set(exp[::3]))
+        hit = np.isin(exp, keys)
+        for anti, want in ((False, hit), (True, ~hit)):
+            out = broadcast_semi_join(ds, keys, res=res, anti=anti).take_all()
+            assert sorted(r["i"] for r in out) == np.flatnonzero(want).tolist()
+
+        tag = {k: j for j, k in enumerate(keys)}
+        lookup = pa.table({"cellid": keys, "tag": list(tag.values())})
+        out = broadcast_lookup_join(ds, lookup, res=res).to_pandas() \
+            .sort_values("i")
+        assert out.i.tolist() == np.flatnonzero(hit).tolist()
+        assert out.cellid.tolist() == cells[hit].tolist()
+        assert out.tag.tolist() == [tag[k] for k in exp[hit]]
+
     def test_knn(self, ray_ok):
         import ray.data as rd
         from dggsray.ops.joins import knn_cells
