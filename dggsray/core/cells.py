@@ -11,10 +11,6 @@ from .rhpx import GridConfig, DEFAULT_GRID
 
 # --- scalar semantics (reference rhpxutils.py:49-107) ---
 
-def cellidstr_to_suid(cellid: str) -> list:
-    return [cellid[0]] + [int(d) for d in cellid[1:]]
-
-
 def cellid_resolution_idx(cellid: str) -> int:
     return len(cellid) - 1
 
@@ -71,10 +67,6 @@ def truncate_to_resolution(cellids: np.ndarray, res: int) -> np.ndarray:
     as_u32 = arr.view(np.uint32).reshape(arr.size, itemsize).copy()
     as_u32[:, keep:] = 0
     return as_u32.reshape(-1).view(f"U{itemsize}").reshape(arr.shape)
-
-
-def resolution_of(cellids: np.ndarray) -> np.ndarray:
-    return np.char.str_len(np.asarray(cellids, dtype="U")) - 1
 
 
 def explode_to_children(cellids: np.ndarray, grid: GridConfig = DEFAULT_GRID):

@@ -268,10 +268,6 @@ def _object_header_v2(messages: list[bytes]) -> bytes:
     return head + blob + struct.pack("<I", jenkins_lookup3(head + blob))
 
 
-def _scalar_attr_data(dt: np.dtype, value) -> bytes:
-    return np.asarray(value, dtype=dt).tobytes()
-
-
 def _emit_v4_index(w: _W, blobs, arr, cshape, compress) -> bytes:
     """Chunk data + a version-4 layout message body: single-chunk index when
     the grid is one chunk (libhdf5's choice), else a fixed-array index

@@ -911,10 +911,6 @@ def _band_eps_index(r: int) -> tuple[int, int, int] | int:
                              3 * (r - 1) + 3)
 
 
-def _cblk_grid(bw: int, bh: int, cbw: int, cbh: int):
-    return _ceil_div(bw, cbw), _ceil_div(bh, cbh)
-
-
 def _packet_order(cs: _Codestream, max_r: int):
     """(r, c) packet sequence for single layer / single precinct.  LRCP,
     RLCP and RPCL are resolution-major; PCRL and CPRL are component-major."""

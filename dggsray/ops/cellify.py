@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.rhpx import DEFAULT_GRID, GridConfig, cells_from_lonlat, cell_centroid
+from ..core.rhpx import DEFAULT_GRID, GridConfig, cells_from_lonlat
 
 
 def add_cellid_batch(batch: pa.Table, lon_col: str, lat_col: str, res: int,
@@ -32,12 +32,6 @@ def with_cellid(ds, lon_col: str, lat_col: str, res: int,
     return ds.map_batches(
         lambda b: add_cellid_batch(b, lon_col, lat_col, res, grid, out_col),
         batch_format="pyarrow", batch_size=batch_size)
-
-
-def add_centroid_batch(batch: pa.Table, cell_col: str = "cellid",
-                       grid: GridConfig = DEFAULT_GRID) -> pa.Table:
-    x, y = cell_centroid(batch.column(cell_col), grid)
-    return batch.append_column("x", pa.array(x)).append_column("y", pa.array(y))
 
 
 def _at_resolution(ds, cell_col: str, res: int | None):

@@ -5,10 +5,11 @@ The reference optimizes CUID sets in a driver-side networkx trie, which is
 O(cells) memory and minutes-slow at res 9 (auids/rhpx.py:108-181, timings
 :116-118).  Here the collapse runs as a bottom-up loop of grouped aggregates —
 one groupby(parent_prefix) per resolution level — so the set shrinks
-distributedly and only the (small) residue ever reaches the driver trie
-(SURVEY.md section 2.8).  Semantics are identical to core.auid.optimize_cuids:
-n_side^2 sibling LEAF cells with a non-terminal parent collapse, iterated to
-fixpoint (equivalence-tested against the driver implementation).
+distributedly and only the (small) residue ever reaches the integer pass of
+core.auid (SURVEY.md section 2.8).  Semantics are identical to
+core.auid.optimize_cuids: n_side^2 sibling LEAF cells with a non-terminal
+parent collapse, iterated to fixpoint (equivalence-tested against
+core.auid).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def distributed_optimize(ds, n_side: int, cell_col: str = "cellid",
       1. distinct cells (grouped count);
       2. cells deeper than `prefix_depth` are grouped by their depth-B prefix —
          sibling collapses NEVER cross a subtree boundary except by producing
-         the prefix cell itself, so the exact trie optimizer runs independently
+         the prefix cell itself, so the exact optimizer runs independently
          per subtree (groupby + map_groups);
       3. a final exact driver pass over (per-subtree residues + the shallow
          cells, both small: residues are >=9x compacted or tiny, shallow is

@@ -94,18 +94,6 @@ def minhash_batch(texts: list[bytes], num_perm: int = 128,
     return out
 
 
-def minhash_signatures(ds, text_col: str = "text", id_col: str = "doc_id",
-                       num_perm: int = 128, shingle_k: int = 3,
-                       unit: str = "word"):
-    def kernel(bt: pa.Table) -> pa.Table:
-        texts = [t.encode("utf-8", "ignore")
-                 for t in bt.column(text_col).to_pylist()]
-        sig = minhash_batch(texts, num_perm, shingle_k, unit)
-        return pa.table({id_col: bt.column(id_col),
-                         "sig": pa.array(list(sig), pa.list_(pa.uint64()))})
-    return ds.map_batches(kernel, batch_format="pyarrow")
-
-
 def lsh_band_buckets(sig_ds, id_col: str = "doc_id", bands: int = 32,
                      num_perm: int = 128):
     """Signatures -> (band, band_hash, doc_id) rows; docs sharing a bucket are
@@ -757,17 +745,6 @@ def ngram_jaccard_counts(a: bytes, b: bytes, k: int = 3,
     sa, sb = shingle_set(a, k, unit), shingle_set(b, k, unit)
     inter = int(np.intersect1d(sa, sb).size)
     return inter, int(sa.size) + int(sb.size) - inter
-
-
-def ngram_jaccard(a: bytes, b: bytes, k: int = 3, unit: str = "word") -> float:
-    inter, union = ngram_jaccard_counts(a, b, k, unit)
-    return inter / union if union else 1.0
-
-
-def _text_pool() -> int:
-    """Actor-pool ceiling for CPU-heavy text kernels: ~5/8 of cluster CPUs."""
-    import ray
-    return max(2, (int(ray.cluster_resources().get("CPU", 8)) * 5) // 8)
 
 
 class _MinhashPayload:

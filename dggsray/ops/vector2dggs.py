@@ -20,8 +20,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.rhpx import (DEFAULT_GRID, F, GridConfig, _parse_cellids,
-                         align_point, cell_from_point,
-                         cell_keys_from_point, project_fwd)
+                         align_point, cell_from_point, cell_keys_from_point,
+                         cellids_to_arrow, project_fwd)
 
 
 def _cellids_to_keys(cells: np.ndarray, res: int,
@@ -119,7 +119,8 @@ def burn_polygons_to_cells(features: list[dict], res: int,
     from .vectorwarp import clip_ring_to_box, rhealpix_face_boxes
 
     cw = grid.cell_width(res)
-    cell_to_val: dict = {}
+    painted: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     boxes = rhealpix_face_boxes(grid) if clip_to_cube else None
     for feat in features:
         rings = [_ring_planar(np.asarray(r, dtype=np.float64), grid)
@@ -170,15 +171,24 @@ def burn_polygons_to_cells(features: list[dict], res: int,
         if not inside.any():
             continue
         cells = cell_from_point(res, px[inside], py[inside], grid)
-        val = int(feat["value"])
-        for c in cells:
-            if c:
-                cell_to_val[c] = val   # paint order: later features overwrite
-    if not cell_to_val:
+        cells = cells[cells != ""]
+        painted.append(cells)
+        values.append(np.full(cells.size, int(feat["value"]), dtype=np.int64))
+    cells = np.concatenate(painted) if painted else np.zeros(0, "U1")
+    if not cells.size:
         return pa.table({"cellid": pa.array([], pa.string()),
                          "value": pa.array([], pa.int64())})
-    return pa.table({"cellid": pa.array(list(cell_to_val.keys()), pa.string()),
-                     "value": pa.array(list(cell_to_val.values()), pa.int64())})
+    # paint order: rows in first-seen order, each valued by the last feature
+    # that paints it (a stable sort keeps each cell's paints in input order)
+    key = _cellids_to_keys(cells, res, grid)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.r_[True, key[1:] != key[:-1]]
+    first = order[new]
+    last = order[np.r_[new[1:], True]]
+    rows = np.argsort(first)
+    return pa.table({"cellid": cellids_to_arrow(cells[first[rows]], grid),
+                     "value": np.concatenate(values)[last[rows]]})
 
 
 def _supercover_cells(x0: float, y0: float, x1: float, y1: float,
@@ -331,7 +341,7 @@ def vector_to_optimal_cuids(source, res: int, grid: GridConfig = DEFAULT_GRID,
     if not with_auid:
         return optimal
     from ..core.auid import generate_bp_auid_from_cuids
-    _auid, _hash, hash_b64, _comp, comp_b64, _trie = \
+    _auid, _hash, hash_b64, _comp, comp_b64, _ids = \
         generate_bp_auid_from_cuids(optimal)
     return optimal, comp_b64, hash_b64
 

@@ -92,9 +92,3 @@ def centroid_xy_sql(cell: str, res: int, n_side: int = 3) -> tuple[str, str]:
     x = f"({x0} + (CAST({col} AS DOUBLE) + 0.5) * {w!r})"
     y = f"({F/2!r} - (CAST({row} AS DOUBLE) + 0.5) * {w!r})"
     return x, y
-
-
-def points_cte(table: str, key: str, res: int, alias: str = "pts") -> str:
-    lon, lat = lonlat_sql(key)
-    return (f"{alias} AS (SELECT {key} AS key, {cellid_sql(lon, lat, res)} AS cellid "
-            f"FROM {table})")

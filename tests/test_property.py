@@ -126,6 +126,166 @@ class TestOptimizeCuids:
         assert expand(opt) == expand(cuids)
 
 
+# --- reference copy of the former dict-trie AUID code (optimize_cuids,
+# is_optimal_cuids, the BP encoder), kept here as the equivalence oracle ---
+
+class _Node(dict):
+    __slots__ = ("term",)
+
+    def __init__(self):
+        super().__init__()
+        self.term = False
+
+
+def _build_trie(cuids):
+    root = _Node()
+    for cuid in sorted(cuids):
+        node = root
+        for ch in cuid:
+            nxt = node.get(ch)
+            if nxt is None:
+                nxt = node[ch] = _Node()
+            node = nxt
+        node.term = True
+    return root
+
+
+def _trie_to_ids(root):
+    out, stack = [], [(root, "")]
+    while stack:
+        node, prefix = stack.pop()
+        if node.term:
+            out.append(prefix)
+        for ch in node:
+            stack.append((node[ch], prefix + ch))
+    return sorted(out)
+
+
+def _trie_bp(root, pars, root_name, nil_name, with_opening_par):
+    op = pars[0] if with_opening_par else ""
+    cl = pars[1]
+    parts = [op, root_name]
+
+    def emit(node, ch):
+        parts.append(op)
+        parts.append(ch)
+        if node.term:
+            parts.extend((op, nil_name, cl))
+        for c in node:
+            emit(node[c], c)
+        parts.append(cl)
+
+    for c in root:
+        emit(root[c], c)
+    parts.append(cl)
+    return "".join(parts)
+
+
+def _trie_auid(cuids, pars, with_opening_par, with_trailing_pars):
+    auid = _trie_bp(_build_trie(cuids), pars, "^", "$", with_opening_par)
+    return auid if with_trailing_pars else auid[: auid.rfind("$") + 1]
+
+
+def _collapsible(node, k):
+    return (not node.term and len(node) == k
+            and all(v.term and not v for v in node.values()))
+
+
+def _trie_optimize(cuids, n_side):
+    root = _build_trie(cuids)
+    k = n_side * n_side
+    changed = True
+    while changed:
+        changed = False
+        stack = [(root, True, False)]
+        while stack:
+            node, is_root, processed = stack.pop()
+            if not processed:
+                stack.append((node, is_root, True))
+                stack.extend((node[c], False, False) for c in node)
+            elif not is_root and _collapsible(node, k):
+                node.clear()
+                node.term = True
+                changed = True
+    return _trie_to_ids(root)
+
+
+def _trie_is_optimal(cuids, n_side):
+    k = n_side * n_side
+    stack = [(_build_trie(cuids), True)]
+    while stack:
+        node, is_root = stack.pop()
+        if not is_root and _collapsible(node, k):
+            return False
+        stack.extend((node[c], False) for c in node)
+    return True
+
+
+@st.composite
+def _mixed_cuid_sets(draw):
+    """(n_side, CUIDs): random mixed-resolution ids plus full sibling blocks
+    (some nested two levels deep, some under a terminal parent, some missing a
+    child, some with an extra child or grandchild) and duplicates, over 0-based, 1-based or wider-than-n_side^2 digit
+    alphabets."""
+    n_side = draw(st.sampled_from((2, 3)))
+    k = n_side * n_side
+    alphabet = draw(st.sampled_from(
+        ("0123456789"[:k], "123456789"[:k], "0123456789"[:k + 1])))
+    cuid = st.tuples(st.sampled_from("NOPQRS"),
+                     st.text(alphabet, max_size=3)).map("".join)
+    cells = draw(st.lists(cuid, max_size=12))
+    for parent in draw(st.lists(cuid, max_size=3)):
+        block = [parent]
+        for _ in range(draw(st.integers(1, 2))):
+            block = [b + d for b in block for d in alphabet[:k]]
+        if draw(st.booleans()):
+            block.pop(draw(st.integers(0, len(block) - 1)))
+        if draw(st.booleans()):
+            block.append(parent)
+        if draw(st.booleans()):     # one more child, or a grandchild
+            block.append(parent + alphabet[-1] + draw(st.text(alphabet,
+                                                              max_size=1)))
+        cells += block
+    if cells:
+        cells += draw(st.lists(st.sampled_from(cells), max_size=5))
+    return n_side, draw(st.permutations(cells))
+
+
+class TestTrieEquivalence:
+    """The integer-key optimizer and the sorted-walk BP codec equal the former
+    dict-trie implementation on mixed-resolution sets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mixed_cuid_sets())
+    def test_optimize_and_is_optimal_match_trie(self, case):
+        n_side, cells = case
+        assert optimize_cuids(cells, n_side) == _trie_optimize(cells, n_side)
+        assert is_optimal_cuids(cells, n_side) == \
+            _trie_is_optimal(cells, n_side)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_mixed_cuid_sets())
+    def test_bp_matches_trie_and_decodes(self, case):
+        _, cells = case
+        for pars in ("¿?", "()"):
+            for wop in (True, False):
+                for wtp in (True, False):
+                    auid, *_, ids = generate_bp_auid_from_cuids(
+                        cells, pars, with_opening_par=wop,
+                        with_trailing_pars=wtp)
+                    assert auid == _trie_auid(cells, pars, wop, wtp)
+                    assert ids == sorted(set(cells))
+                    assert generate_cuids_from_bp_auid(
+                        auid, pars, with_opening_par=wop,
+                        with_trailing_pars=wtp) == sorted(set(cells))
+
+    def test_ids_longer_than_int64_keys(self):
+        """Past 19 chars the keys leave int64; the result must not change."""
+        cells = ["N" + "1" * 20 + d for d in "0123"] + ["S" + "0" * 22]
+        assert optimize_cuids(cells, 2) == _trie_optimize(cells, 2) == \
+            ["N" + "1" * 20, "S" + "0" * 22]
+
+
 class TestProjectionProperties:
     @settings(max_examples=200, deadline=None)
     @given(lon=_lon, lat=_lat)
