@@ -346,7 +346,9 @@ def learn_bpe_delta(ds, n_merges: int, text_col: str = "text",
             ray.cluster_resources().get("CPU", 8)) // 2))
 
     Shard = ray.remote(ShardBPE)
-    refs = ds.select_columns([text_col]).to_arrow_refs()
+    # materialize first: to_arrow_refs on a lazy view executes its plan
+    # once for the blocks and again for the schema
+    refs = ds.select_columns([text_col]).materialize().to_arrow_refs()
     groups: list[list] = [[] for _ in range(min(n_shards, len(refs)) or 1)]
     for i, r in enumerate(refs):
         groups[i % len(groups)].append(r)

@@ -5,7 +5,9 @@ cell_from_point loop (/root/reference/dggstools/rhpx/rhpx_gdf_helper.py:85-118) 
 arbitrary point tables, plus the majority/mean cell aggregation of the target
 north_star.  All kernels are zero-copy Arrow in / Arrow out, and every
 aggregation is one ops.joins.sized_groupby call, whose per-block partials move
-one row per (cell, block) instead of one per input row.
+one row per (cell, block) instead of one per input row.  The majority's
+per-cell argmax then runs inside each output block of that call, which holds
+all rows of its cells.
 """
 from __future__ import annotations
 
@@ -76,9 +78,10 @@ def regrid_majority(ds, value_col: str, res: int | None = None,
     `n`; ties break to the smallest value (matching a deterministic SQL
     oracle: ORDER BY cnt DESC, value ASC LIMIT 1 per cell).  One
     sized_groupby counts each (cell, value), then `_argmax_by_score` picks
-    per cell.  The value column must hold integers in [-2^20, 2^20) (class
-    ids, nation keys, burn values, nodata sentinels); map strings to ids
-    with vector2dggs.feature_class_values first.  Anything else raises."""
+    per cell inside each of its blocks.  The value column must hold
+    integers in [-2^20, 2^20) (class ids, nation keys, burn values, nodata
+    sentinels); map strings to ids with vector2dggs.feature_class_values
+    first.  Anything else raises."""
     from ray.data.aggregate import Count
 
     from .joins import sized_groupby
@@ -92,18 +95,14 @@ _MAJ_BIAS = 1 << 20  # shift so signed sentinels (e.g. -1 nodata) qualify
 
 
 def _argmax_by_score(counts, cell_col: str, value_col: str, out_col: str):
-    """Per-cell argmax(cnt desc, value asc) over (cell, value, _cnt) rows as
-    ONE sized_groupby Max: score = cnt * K + (K-1-(value+BIAS)) packs the
-    comparison into a single int64, so no per-group Python call runs even
-    with millions of distinct cells.  Integer values only: a non-integer
+    """Per-cell argmax(cnt desc, value asc) over (cell, value, _cnt) rows,
+    inside each block: sized_groupby puts all rows of a cell in one block.
+    score = cnt * K + (K-1-(value+BIAS)) packs the comparison into a single
+    int64, so one Arrow group_by Max per block picks every cell's winner
+    with no per-group Python call.  Integer values only: a non-integer
     value column raises TypeError and a value outside [-2^20, 2^20) raises
-    ValueError, both from the encode kernel.  Per-(cell, value) counts must
-    stay below 2^42."""
-    from ray.data.aggregate import Max
-
-    from .joins import sized_groupby
-
-    def encode(b: pa.Table) -> pa.Table:
+    ValueError.  Per-(cell, value) counts must stay below 2^42."""
+    def argmax(b: pa.Table) -> pa.Table:
         col = b.column(value_col)
         if not pa.types.is_integer(col.type):
             raise TypeError(
@@ -116,21 +115,17 @@ def _argmax_by_score(counts, cell_col: str, value_col: str, out_col: str):
                 f"majority value out of [-{_MAJ_BIAS}, {_MAJ_BIAS}): "
                 f"packed-score argmax needs bounded integer values")
         cnt = b.column("_cnt").to_numpy().astype(np.int64)
-        score = cnt * _MAJ_K + (_MAJ_K - 1 - v)
-        return pa.table({cell_col: b.column(cell_col),
-                         "_score": pa.array(score)})
-
-    best = sized_groupby(counts.map_batches(encode, batch_format="pyarrow"),
-                         cell_col, Max("_score", alias_name="_score"))
-
-    def decode(b: pa.Table) -> pa.Table:
-        s = b.column("_score").to_numpy()
-        return pa.table({cell_col: b.column(cell_col),
+        score = pa.array(cnt * _MAJ_K + (_MAJ_K - 1 - v))
+        best = pa.table({cell_col: b.column(cell_col), "_score": score}) \
+            .group_by(cell_col).aggregate([("_score", "max")])
+        s = best.column("_score_max").to_numpy()
+        return pa.table({cell_col: best.column(cell_col),
                          out_col: pa.array(_MAJ_K - 1 - (s % _MAJ_K)
                                            - _MAJ_BIAS),
                          "n": pa.array(s // _MAJ_K)})
 
-    return best.map_batches(decode, batch_format="pyarrow")
+    return counts.map_batches(argmax, batch_format="pyarrow",
+                              batch_size=None)
 
 
 def count_cells_per_value(ds, value_col: str, cell_col: str = "cellid"):

@@ -1564,11 +1564,13 @@ def _semantic_dedup_impl(ds, tau_permille, cluster_col, id_col, vec_col,
         return ds.groupby(cluster_col).map_groups(
             kernel_factory(None), batch_format="pyarrow")
 
-    sizes = ds.groupby(cluster_col).count().to_pandas()
-    cnt_col = [c for c in sizes.columns if c != cluster_col][0]
-    hot = sizes[sizes[cnt_col] > 4 * cap] \
-        .sort_values(cnt_col, ascending=False).head(64)
-    hot_sizes = {int(r[cluster_col]): int(r[cnt_col])
+    from ray.data.aggregate import Count
+
+    from .joins import sized_groupby
+    sizes = sized_groupby(ds, cluster_col, Count(alias_name="n")).to_pandas()
+    hot = sizes[sizes["n"] > 4 * cap] \
+        .sort_values("n", ascending=False).head(64)
+    hot_sizes = {int(r[cluster_col]): int(r["n"])
                  for _, r in hot.iterrows()}
 
     if not hot_sizes:

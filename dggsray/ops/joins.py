@@ -10,6 +10,7 @@ become first-class, cellid-keyed joins):
 """
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -204,31 +205,30 @@ def hash_join(left, right, on: str = "cellid", join_type: str = "inner",
 _ARROW_FNS = {"Sum": "sum", "Min": "min", "Max": "max"}
 
 
-def sized_groupby(ds, key, *aggs, rows_per_part: int = 1_000_000,
-                  single_block_rows: int = 8_000_000):
+def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000):
     """The engine's grouped aggregation: `ds.groupby(key).aggregate(*aggs)`
-    for Sum, Min, Max and Count without Ray's sort-shuffle Aggregate at
-    sizes where its fixed cost dominates.  Feed it the raw rows: phase 1 is
-    the per-batch partial, so callers need no partial of their own.
+    for Sum, Min, Max and Count with one Ray Data execution and then plain
+    Ray tasks, instead of Ray's sort-shuffle Aggregate, whose per-operator
+    fixed cost dominates below ~10M rows.  Feed it the raw rows: the
+    per-block partial is its own first step, so callers need no partial of
+    their own.
 
-    Phase 1 always runs: per-block Arrow group_by partials (Sum of Sums /
+    The execution is the per-block Arrow group_by partial (Sum of Sums /
     Min of Mins / Max of Maxes are associative; counts combine by Sum),
-    then again on blocks coalesced to ~rows_per_part rows, materialized —
-    partials are bounded by (distinct keys x blocks), tiny relative to
-    input.  `Count(col, ignore_nulls=True)` counts the non-null values of
-    `col`; any other Count counts rows.
+    materialized: partials are bounded by (distinct keys x blocks), tiny
+    relative to the input.  `Count(col, ignore_nulls=True)` counts the
+    non-null values of `col`; any other Count counts rows.
 
-    Phase 2 picks by MEASURED size (the streaming planner cannot know it):
-    under single_block_rows, ONE more Arrow group_by over the concatenated
-    partials finishes the job in a single task — measured 0.8 s vs 6-8 s for
-    Ray's sort/hash Aggregate on a 580k-row input, whose per-operator constant
-    dominates below ~10M rows.  Low-cardinality keys (coarse cells, lang,
-    type, hour...) always take this path: Ray's sort-shuffle, with one
-    output partition per input block, cost ~7 s of fixed overhead per small
-    groupby at sf0.1.  Above the limit (the true 100 TB regime, where keys
-    do not fit one block) it falls back to the distributed Aggregate, whose
-    overhead amortizes at that scale.  Other aggregations skip both phases
-    and go straight to Ray's Aggregate."""
+    Tasks over the partial block refs finish it, sized by the MEASURED
+    partial row count (the streaming planner cannot know it).  With P =
+    ceil(rows / single_block_rows), P = 1 is one task that combines every
+    partial with `partial_again`.  Otherwise one task per partial block
+    splits it into P parts by a stable hash of the first key column, and P
+    tasks each combine one part.  Output contract: every row that shares a
+    first-key value sits in one block, so a per-group step after this one
+    can run inside each block (`map_batches(batch_size=None)`).  An empty
+    input gives 0 rows.  Other aggregations go straight to Ray's
+    `groupby().aggregate()` and carry no block contract."""
     keys = [key] if isinstance(key, str) else list(key)
     spec = []          # (src_col_or_None, level1_fn, alias); Count -> row
     for a in aggs:     # count at level 1, Sum of counts afterwards
@@ -239,8 +239,7 @@ def sized_groupby(ds, key, *aggs, rows_per_part: int = 1_000_000,
             continue
         fn = _ARROW_FNS.get(cls)
         if fn is None:                       # non-decomposable agg: shuffle
-            return ds.repartition(target_num_rows_per_block=rows_per_part) \
-                     .groupby(key).aggregate(*aggs)
+            return ds.groupby(key).aggregate(*aggs)
         spec.append((a._target_col_name, fn, a.name))
 
     def partial(b: pa.Table) -> pa.Table:
@@ -248,21 +247,20 @@ def sized_groupby(ds, key, *aggs, rows_per_part: int = 1_000_000,
             [([] if c is None else c, fn) for c, fn, _ in spec])
         return g.rename_columns(keys + [alias for _, _, alias in spec])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(target_num_rows_per_block=rows_per_part) \
-        .map_batches(partial_again(keys, spec), batch_format="pyarrow",
-                     batch_size=None) \
-        .materialize()
-    if partials.count() <= single_block_rows:
-        return partials.repartition(1).map_batches(
-            partial_again(keys, spec), batch_format="pyarrow",
-            batch_size=None)
-    import ray.data.aggregate as agg_mod
-    final_aggs = [
-        (agg_mod.Sum if type(a).__name__ == "Count"
-         else getattr(agg_mod, type(a).__name__))(alias, alias_name=alias)
-        for a, (_, _, alias) in zip(aggs, spec)]
-    return partials.groupby(key).aggregate(*final_aggs)
+    partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    rows = partials.count()
+    if rows == 0:
+        return partials
+    import ray.data
+    refs = partials.to_arrow_refs()
+    n_parts = -(-rows // single_block_rows)
+    combine = _remote(_combine)
+    if n_parts == 1:
+        return ray.data.from_arrow_refs([combine.remote(keys, spec, *refs)])
+    split = _remote(_split_by_key).options(num_returns=n_parts)
+    parts = [split.remote(r, keys[0], n_parts) for r in refs]
+    return ray.data.from_arrow_refs(
+        [combine.remote(keys, spec, *part) for part in zip(*parts)])
 
 
 def partial_again(keys, spec):
@@ -274,6 +272,56 @@ def partial_again(keys, spec):
              for _, fn, alias in spec])
         return g.rename_columns(keys + [alias for _, _, alias in spec])
     return kernel
+
+
+@functools.cache
+def _remote(fn):
+    """One RemoteFunction per function: Ray exports it once, not per call."""
+    import ray
+    return ray.remote(fn)
+
+
+def _combine(keys, spec, *blocks: pa.Table) -> pa.Table:
+    """Task: the final combine of `blocks` (partials of the same spec)."""
+    return partial_again(keys, spec)(
+        pa.concat_tables(blocks, promote_options="permissive"))
+
+
+def _split_by_key(block: pa.Table, key: str, n_parts: int):
+    """Task: `block` cut into `n_parts` tables by `_stable_hash(key)`."""
+    h = _stable_hash(block.column(key).combine_chunks())
+    part = (h % np.uint64(n_parts)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    cuts = np.searchsorted(part[order], np.arange(n_parts + 1))
+    block = block.take(pa.array(order))
+    return tuple(block.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _stable_hash(col: pa.Array) -> np.ndarray:
+    """uint64 hash of each value that is the same in every process (Python's
+    str hash is salted per process).  Integers hash their int64 value; any
+    other type hashes the bytes of its string form.  Nulls hash like 0 or
+    the empty string."""
+    if pa.types.is_integer(col.type):
+        x = pc.cast(col, pa.int64(), safe=False).fill_null(0).to_numpy()
+        return (x.view(np.uint64) * _MIX) >> np.uint64(29)
+    t = col.type
+    if not (pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        col = pc.cast(col, pa.large_string())
+    col = pc.cast(col, pa.large_binary()).fill_null(b"")
+    off = np.frombuffer(col.buffers()[1], np.int64)[
+        col.offset:col.offset + len(col) + 1]
+    start, lens = off[:-1] - off[0], np.diff(off)
+    data = np.frombuffer(col.buffers()[2] or b"", np.uint8)[off[0]:off[-1]]
+    weight = np.cumprod(np.full(int(lens.max(initial=0)) + 1, _MIX))
+    pos = np.arange(data.size) - np.repeat(start, lens)
+    h = np.zeros(len(col), np.uint64)
+    full = lens > 0
+    h[full] = np.add.reduceat(data * weight[pos], start[full])
+    return ((h + lens.astype(np.uint64)) * _MIX) >> np.uint64(29)
 
 
 def union_groupby_inner(left, right, key_col: str,

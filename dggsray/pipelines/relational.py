@@ -236,8 +236,7 @@ def docs_dedup_exact(sf_dir: str):
                          "_packed": pa.array(packed, pa.string())})
 
     keep = sized_groupby(ds.map_batches(pack, batch_format="pyarrow"),
-                         "text", Min("_packed", alias_name="_win"),
-                         rows_per_part=200_000)   # ~1 KB text rows
+                         "text", Min("_packed", alias_name="_win"))
 
     def partial(b: pa.Table) -> pa.Table:
         lang = pc.utf8_slice_codeunits(b.column("_win"), 21, 2**31 - 1)
@@ -4213,8 +4212,7 @@ def docs_dedup_survivors(sf_dir: str):
 
     keep = sized_groupby(ds.map_batches(pack, batch_format="pyarrow"),
                          "norm", Min("_packed", alias_name="_win"),
-                         Sum("_one", alias_name="group_size"),
-                         rows_per_part=200_000)
+                         Sum("_one", alias_name="group_size"))
 
     def unpack(b: pa.Table) -> pa.Table:
         win = b.column("_win").to_pylist()
@@ -4323,7 +4321,7 @@ def events_user_argmax(sf_dir: str):
     max-value): the winning event per user, ties broken to the SMALLEST
     event_id.  One combiner-first shuffle: each block packs (cents,
     inverted event_id) into one int64 — pk = cents * 2^40 + (2^40-1 -
-    event_id), exact because cents < 2^17 and event_id < 2^40 — takes
+    event_id), exact because cents < 2^23 and event_id < 2^40 — takes
     the per-block max per user, and a keyed Max aggregate finishes; the
     winner unpacks WITHOUT a join-back.  Output: (user_id, max_cents,
     event_id)."""

@@ -307,6 +307,28 @@ class TestDeltaCountedBPE:
         assert got.to_pydict() == ref.to_pydict()
         assert got.num_rows == 512
 
+    def test_input_plan_runs_once(self, ray_session, tmp_path):
+        """The input Dataset's plan executes once per block (regression:
+        `to_arrow_refs` on an unmaterialized column view ran it twice)."""
+        import os
+
+        import ray.data as rd
+
+        from dggsray.ops.bpe import learn_bpe_delta
+        log = str(tmp_path / "calls")
+
+        def counted(b: pa.Table) -> pa.Table:
+            with open(log, "a") as f:
+                f.write("x")
+            return b
+
+        texts = ["abababab", "xaby", "baaab", "abba" * 5]
+        ds = rd.from_arrow(pa.table({"text": texts, "id": range(4)})) \
+            .map_batches(counted, batch_format="pyarrow")
+        got = learn_bpe_delta(ds, 4, n_shards=2)
+        assert got.num_rows == 4
+        assert os.path.getsize(log) == 1
+
     def test_per_merge_cost_decreases_with_rank(self):
         import time
         import pyarrow.parquet as pq

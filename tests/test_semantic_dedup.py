@@ -217,6 +217,27 @@ class TestClusterSizeCap:
         assert (capped.n_cluster == 1200).all()   # reports TOP-LEVEL size
         assert capped.is_dup.sum() > 0
 
+    def test_distributed_tier_equals_uncapped(self, ray_session,
+                                              monkeypatch):
+        """Inputs of 16 MB and more first count rows per cluster and split
+        the hot clusters across tasks: same flags as the uncapped run."""
+        import ray.data as rd
+
+        from dggsray.ops.dedup import semantic_dedup
+        emb = self._separated_cluster(n=1200, seed=5)
+        rows = [(i, i % 2, emb[i].tolist()) for i in range(emb.shape[0])]
+        uncapped = semantic_dedup(_ds(rows), tau_permille=900,
+                                  max_cluster_rows=10**9).to_pandas() \
+            .set_index("vec_id").sort_index()
+        monkeypatch.setattr(rd.Dataset, "size_bytes",
+                            lambda self: 1 << 30)
+        split = semantic_dedup(_ds(rows), tau_permille=900,
+                               max_cluster_rows=100).to_pandas() \
+            .set_index("vec_id").sort_index()
+        assert split.is_dup.tolist() == uncapped.is_dup.tolist()
+        assert (split.n_cluster == 600).all()
+        assert split.is_dup.sum() > 0
+
     def test_degenerate_identical_vectors_terminate(self):
         # all-identical vectors defeat k-means (one cell) — the id-order
         # chunk fallback must terminate and keep exactly one survivor

@@ -75,7 +75,11 @@ class TestSkewedGroupby:
         """Sum/Min/Max/Count (rows, and non-null values) over 1, 4 and 32
         blocks, low- and high-cardinality keys, equal a single pyarrow
         group_by — including the Max over a packed majority score that
-        regrid_majority's argmax relies on."""
+        regrid_majority's argmax relies on.  `single_block_rows` is sized
+        from the partial row count so the combine runs as 1, 2 and 5 hash
+        parts (fewer when there are fewer partial rows), and the output
+        blocks hold pairwise disjoint key sets."""
+        import ray
         import ray.data as rd
         from ray.data.aggregate import Count, Max, Min, Sum
         from dggsray.ops.cellify import _MAJ_BIAS, _MAJ_K
@@ -90,20 +94,68 @@ class TestSkewedGroupby:
                       "v": pa.array(v, mask=rng.random(n) < 0.1),
                       "score": cnt * _MAJ_K + (_MAJ_K - 1 - (val + _MAJ_BIAS))})
         cuts = np.linspace(0, n, blocks + 1).astype(int)
-        ds = rd.from_arrow([t.slice(a, b - a)
-                            for a, b in zip(cuts[:-1], cuts[1:])])
-        got = pa.Table.from_pylist(sized_groupby(
-            ds, "k", Sum("v", alias_name="sum"), Min("v", alias_name="min"),
-            Max("v", alias_name="max"), Count(alias_name="count"),
-            Count("v", ignore_nulls=True, alias_name="count_v"),
-            Max("score", alias_name="best")).take_all()).sort_by("k")
+        pieces = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+        partial_rows = sum(len(np.unique(p.column("k"))) for p in pieces)
         cols = ["k", "sum", "min", "max", "count", "count_v", "best"]
         want = t.group_by("k").aggregate(
             [("v", "sum"), ("v", "min"), ("v", "max"), ([], "count_all"),
              ("v", "count"), ("score", "max")]) \
             .rename_columns(cols).sort_by("k")
-        for c in cols:
-            assert got.column(c).to_pylist() == want.column(c).to_pylist(), c
+        for parts in (1, 2, 5):
+            single = -(-partial_rows // parts)
+            out = sized_groupby(
+                rd.from_arrow(pieces), "k", Sum("v", alias_name="sum"),
+                Min("v", alias_name="min"), Max("v", alias_name="max"),
+                Count(alias_name="count"),
+                Count("v", ignore_nulls=True, alias_name="count_v"),
+                Max("score", alias_name="best"), single_block_rows=single)
+            key_sets = [set(b.column("k").to_pylist())
+                        for b in ray.get(out.to_arrow_refs())]
+            assert len(key_sets) == -(-partial_rows // single)
+            assert sum(map(len, key_sets)) == len(set().union(*key_sets))
+            got = pa.Table.from_pylist(out.take_all()).sort_by("k")
+            for c in cols:
+                assert got.column(c).to_pylist() == \
+                    want.column(c).to_pylist(), (parts, c)
+
+    @pytest.mark.parametrize("parts", [2, 5])
+    def test_majority_argmax_over_hash_parts(self, ray_session, parts):
+        """The in-block argmax over a multi-part (cell, value) count equals
+        a pyarrow recomputation: max count per cell, ties to the smallest
+        value."""
+        import ray.data as rd
+        from ray.data.aggregate import Count
+        from dggsray.ops.cellify import _argmax_by_score
+        from dggsray.ops.joins import sized_groupby
+
+        rng = np.random.default_rng(parts)
+        n = 20_000
+        t = pa.table({
+            "cellid": pa.array(np.char.add(
+                "N", rng.integers(0, 700, n).astype("U4"))),
+            "v": pa.array(rng.integers(-3, 4, n))})
+        pieces = [t.slice(i, 2500) for i in range(0, n, 2500)]
+        partial_rows = sum(p.group_by(["cellid", "v"]).aggregate([]).num_rows
+                           for p in pieces)
+        counts = sized_groupby(rd.from_arrow(pieces), ["cellid", "v"],
+                               Count(alias_name="_cnt"),
+                               single_block_rows=-(-partial_rows // parts))
+        assert counts.num_blocks() == parts
+        got = pa.Table.from_pylist(_argmax_by_score(
+            counts, "cellid", "v", "majority_value").take_all())
+        cnt = t.group_by(["cellid", "v"]).aggregate([([], "count_all")]) \
+            .sort_by([("cellid", "ascending"), ("count_all", "descending"),
+                      ("v", "ascending")])
+        c = cnt.column("cellid").to_numpy(zero_copy_only=False)
+        first = np.r_[True, c[1:] != c[:-1]]
+        want = cnt.filter(pa.array(first))
+        got = got.sort_by("cellid")
+        assert got.column("cellid").to_pylist() == \
+            want.column("cellid").to_pylist()
+        assert got.column("majority_value").to_pylist() == \
+            want.column("v").to_pylist()
+        assert got.column("n").to_pylist() == \
+            want.column("count_all").to_pylist()
 
     def test_majority_regrid_hot_cell(self, ray_session):
         """Majority per cell with one cell holding 50% of all rows; ties
@@ -132,6 +184,27 @@ class TestSkewedGroupby:
             if c != "N0":
                 assert v == int(c[1:]) % 5
         assert len(got) == 1000
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_aggregations_return_no_rows(self, ray_session, filtered):
+        """An empty input, or one filtered to nothing, gives 0 rows from
+        sized_groupby, regrid_mean and regrid_majority (no combine over an
+        empty list of partial blocks)."""
+        import ray.data as rd
+        from ray.data.aggregate import Count, Sum
+        from dggsray.ops.cellify import regrid_majority, regrid_mean
+        from dggsray.ops.joins import sized_groupby
+
+        t = pa.table({"cellid": pa.array(["N01", "N02", "O11"]),
+                      "v": pa.array([1, 2, 3], pa.int64())})
+        ds = rd.from_arrow(t).filter(lambda r: r["v"] > 9) if filtered \
+            else rd.from_arrow(t.slice(0, 0))
+        assert sized_groupby(ds, "cellid", Sum("v", alias_name="s"),
+                             Count(alias_name="n")).count() == 0
+        assert regrid_mean(ds, "v", res=1).count() == 0
+        assert regrid_majority(ds, "v", res=1).count() == 0
 
 
 class TestMajorityNegativeValues:
