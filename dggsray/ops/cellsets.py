@@ -22,13 +22,6 @@ from ..core.cells import explode_to_children
 from ..core.rhpx import DEFAULT_GRID, GridConfig
 
 
-def _distinct_cells(ds, cell_col: str):
-    from ray.data.aggregate import Count
-    from .joins import sized_groupby
-    return sized_groupby(ds, cell_col, Count(alias_name="_c")) \
-        .drop_columns(["_c"])
-
-
 def distributed_optimize(ds, n_side: int, cell_col: str = "cellid",
                          prefix_depth: int = 2) -> list[str]:
     """Compact a (possibly huge, possibly duplicated) cell-id Dataset to the
@@ -37,7 +30,7 @@ def distributed_optimize(ds, n_side: int, cell_col: str = "cellid",
     guard for duplicate-area inputs).
 
     Design (one shuffle, no driver materialization of the input):
-      1. distinct cells (grouped count);
+      1. distinct cells (sized_groupby with no aggregation);
       2. cells deeper than `prefix_depth` are grouped by their depth-B prefix —
          sibling collapses NEVER cross a subtree boundary except by producing
          the prefix cell itself, so the exact optimizer runs independently
@@ -49,8 +42,10 @@ def distributed_optimize(ds, n_side: int, cell_col: str = "cellid",
     group's own prefix into the subtree optimize when it is itself present.
     The returned list is driver-side by contract (it feeds AUID generation),
     but only the final compacted residue ever reaches the driver."""
+    from .joins import sized_groupby
+
     B = prefix_depth
-    distinct = _distinct_cells(ds, cell_col)
+    distinct = sized_groupby(ds, cell_col)
 
     def tag(b: pa.Table) -> pa.Table:
         arr = b.column(cell_col)
@@ -105,11 +100,13 @@ def expand_to_resolution(ds, res: int, grid: GridConfig = DEFAULT_GRID,
     return ds.map_batches(kernel, batch_format="pyarrow")
 
 
-def _flagged(ds, cell_col, flag):
-    def kernel(b: pa.Table, flag=flag) -> pa.Table:
+def _flagged(ds, cell_col, in_a: bool):
+    """(cell, _a, _b) rows: the side's presence indicators."""
+    def kernel(b: pa.Table) -> pa.Table:
         n = b.num_rows
         return pa.table({cell_col: b.column(cell_col),
-                         "_src": pa.array(np.full(n, flag, np.int8))})
+                         "_a": pa.array(np.full(n, in_a, np.int8)),
+                         "_b": pa.array(np.full(n, not in_a, np.int8))})
     return ds.map_batches(kernel, batch_format="pyarrow")
 
 
@@ -121,25 +118,16 @@ def area_setop_flags(ds_a, ds_b, res: int, grid: GridConfig = DEFAULT_GRID,
     — computing them does NOT re-expand or re-shuffle the inputs."""
     from ray.data.aggregate import Max
 
-    a = _flagged(expand_to_resolution(ds_a, res, grid, cell_col), cell_col, 1)
-    b = _flagged(expand_to_resolution(ds_b, res, grid, cell_col), cell_col, 2)
-    both = a.union(b)
-
-    def indicators(t: pa.Table) -> pa.Table:
-        # per-batch partial: collapse duplicate cells before the shuffle
-        src = t.column("_src").to_numpy()
-        part = pa.table({cell_col: t.column(cell_col),
-                         "_a": pa.array((src == 1).astype(np.int8)),
-                         "_b": pa.array((src == 2).astype(np.int8))})
-        g = part.group_by(cell_col).aggregate([("_a", "max"), ("_b", "max")])
-        return g.rename_columns([cell_col, "_a", "_b"])
+    a = _flagged(expand_to_resolution(ds_a, res, grid, cell_col), cell_col,
+                 True)
+    b = _flagged(expand_to_resolution(ds_b, res, grid, cell_col), cell_col,
+                 False)
 
     from .joins import sized_groupby
 
-    # cell universe at the common res is bounded (not data-proportional), so
-    # coalescing partials before the shuffle beats block-proportional partitions
-    return sized_groupby(both.map_batches(indicators, batch_format="pyarrow"),
-                         cell_col, Max("_a", alias_name="in_a"),
+    # one aggregation over both sides' rows: a cell's flags are the Max of
+    # its rows' indicators
+    return sized_groupby(a.union(b), cell_col, Max("_a", alias_name="in_a"),
                          Max("_b", alias_name="in_b"))
 
 

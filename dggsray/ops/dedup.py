@@ -1344,7 +1344,6 @@ def decontaminate_bloom(train_ds, eval_ds, k: int = 8,
 
     The shuffle is bounded by true matches + the Bloom FP rate times the
     train k-gram count — tunable via m_bits/j — never the corpus."""
-    import ray.data as rd
     from ray.data.aggregate import Count
 
     from .joins import adaptive_join, sized_groupby
@@ -1365,9 +1364,7 @@ def decontaminate_bloom(train_ds, eval_ds, k: int = 8,
 
     # the eval hash table may carry cross-block duplicates — dedup before
     # the join so the per-doc count stays exact
-    ev_distinct = sized_groupby(ev, "kh",
-                                Count(alias_name="_c")) \
-        .map_batches(lambda b: b.select(["kh"]), batch_format="pyarrow")
+    ev_distinct = sized_groupby(ev, "kh")
 
     def tr_kernel(bt: pa.Table) -> pa.Table:
         h, o = _kgram_hash_sets(bt.column(text_col), k)

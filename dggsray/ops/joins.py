@@ -36,6 +36,13 @@ def join_partitions() -> int:
     return max(8, int(ray.cluster_resources().get("CPU", 8)))
 
 
+# A driver-side dense map holds max(key)+1 entries.  Keys sparser than this
+# many entries per dimension row (beyond a floor that is always cheap) raise
+# instead of allocating: join on such keys with adaptive_join.
+DENSE_KEYS_PER_ROW = 16
+DENSE_MIN_KEYS = 1 << 20
+
+
 def dim_flag_bitmap(ds, key_col: str, pred) -> np.ndarray:
     """Distributed build of a dense key -> flag bitmap over a dimension
     table whose integer primary key is `key_col`.  The predicate runs
@@ -49,31 +56,15 @@ def dim_flag_bitmap(ds, key_col: str, pred) -> np.ndarray:
     for a 20M-row part table and moves O(#flagged) int64s.
 
     `pred(block) -> bool ndarray` aligned with the block's rows selects
-    which keys flag true.  Broadcast the result with ray.put.
-
-    ONE pass: each block emits its flagged keys plus a trailing
-    (-1, block-max) sentinel row, so the stream carries the global key
-    extent and no separate max() execution is needed; the driver holds
-    the flagged int64 keys (never the frame) until the extent is known,
-    then scatters once."""
-    def kernel(blk: pa.Table) -> pa.Table:
-        keys = blk.column(key_col).to_numpy().astype(np.int64)
+    which keys flag true.  Broadcast the result with ray.put.  One pass
+    (`_dense_pairs`); keys too sparse for a dense bitmap raise ValueError."""
+    def flagged(blk, keys):
         k = keys[np.asarray(pred(blk), dtype=bool)]
-        mx = int(keys.max()) if keys.size else -1
-        return pa.table({"_k": pa.array(np.r_[k, -1], pa.int64()),
-                         "_m": pa.array(np.r_[np.full(k.size, -1,
-                                                      np.int64), mx])})
+        return k, np.zeros(k.size, np.int64)
 
-    chunks, n = [], 0
-    for b in ds.map_batches(kernel, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow"):
-        k = b.column("_k").to_numpy()
-        chunks.append(k[k >= 0])
-        m = b.column("_m").to_numpy()
-        if m.size:
-            n = max(n, int(m.max()) + 1)
+    chunks, n = _dense_pairs(ds, key_col, flagged)
     out = np.zeros(n, dtype=bool)
-    for k in chunks:
+    for k, _ in chunks:
         out[k] = True
     return out
 
@@ -83,20 +74,40 @@ def dim_dense_map(ds, key_col: str, val_fn, fill: int = -1,
     """Distributed build of a dense key -> small-int map (e.g. suppkey
     -> nationkey) over a dimension table: `val_fn(block) -> int ndarray`
     runs in-task, rows whose value equals `fill` are dropped at the
-    source, and the surviving (key, value) pairs stream back (ONE pass;
-    a trailing (-1, block-max) sentinel row carries the key extent) to
-    a vectorized scatter — the driver holds the kept int64 pairs and
-    the n*itemsize map, never the frame.  Exact because `key_col` is a
-    primary key (each key written at most once)."""
-    def kernel(blk: pa.Table) -> pa.Table:
-        keys = blk.column(key_col).to_numpy().astype(np.int64)
+    source, and the surviving (key, value) pairs stream back in one pass
+    (`_dense_pairs`) to a vectorized scatter — the driver holds the kept
+    int64 pairs and the n*itemsize map, never the frame.  Exact because
+    `key_col` is a primary key (each key written at most once); keys too
+    sparse for a dense map raise ValueError."""
+    def kept(blk, keys):
         vals = np.asarray(val_fn(blk)).astype(np.int64)
         m = vals != fill
-        mx = int(keys.max()) if keys.size else -1
-        return pa.table({"_k": pa.array(np.r_[keys[m], -1], pa.int64()),
-                         "_v": pa.array(np.r_[vals[m], mx], pa.int64())})
+        return keys[m], vals[m]
 
-    chunks, n = [], 0
+    chunks, n = _dense_pairs(ds, key_col, kept)
+    out = np.full(n, fill, dtype=dtype)
+    for k, v in chunks:
+        out[k] = v.astype(dtype)
+    return out
+
+
+def _dense_pairs(ds, key_col: str, pairs):
+    """The kept (key, value) int64 pairs of `pairs(block, keys)` over all
+    blocks, and the dense map size n = max(key)+1.  Each block appends a
+    (-1, block max key, block rows) sentinel row, so the key extent and the
+    row count arrive with the pairs and no second execution is needed.
+    Raises ValueError when n exceeds DENSE_KEYS_PER_ROW per row (and
+    DENSE_MIN_KEYS)."""
+    def kernel(blk: pa.Table) -> pa.Table:
+        keys = blk.column(key_col).to_numpy().astype(np.int64)
+        k, v = pairs(blk, keys)
+        mx = int(keys.max()) if keys.size else -1
+        return pa.table({"_k": pa.array(np.r_[k, -1], pa.int64()),
+                         "_v": pa.array(np.r_[v, mx], pa.int64()),
+                         "_n": pa.array(np.r_[np.zeros(k.size, np.int64),
+                                              keys.size], pa.int64())})
+
+    chunks, n, rows = [], 0, 0
     for b in ds.map_batches(kernel, batch_format="pyarrow") \
             .iter_batches(batch_format="pyarrow"):
         k = b.column("_k").to_numpy()
@@ -105,10 +116,13 @@ def dim_dense_map(ds, key_col: str, val_fn, fill: int = -1,
         chunks.append((k[good], v[good]))
         if (~good).any():
             n = max(n, int(v[~good].max()) + 1)
-    out = np.full(n, fill, dtype=dtype)
-    for k, v in chunks:
-        out[k] = v.astype(dtype)
-    return out
+        rows += int(b.column("_n").to_numpy().sum())
+    if n > max(DENSE_KEYS_PER_ROW * rows, DENSE_MIN_KEYS):
+        raise ValueError(
+            f"{key_col!r} keys are too sparse for a dense driver-side map: "
+            f"max key {n - 1} over {rows} rows; join on {key_col!r} with "
+            f"adaptive_join instead")
+    return chunks, n
 
 
 def build_parallel(*thunks):
@@ -211,7 +225,8 @@ def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000):
     Ray tasks, instead of Ray's sort-shuffle Aggregate, whose per-operator
     fixed cost dominates below ~10M rows.  Feed it the raw rows: the
     per-block partial is its own first step, so callers need no partial of
-    their own.
+    their own.  With no aggregation it returns the distinct keys.  Any
+    other aggregation raises TypeError.
 
     The execution is the per-block Arrow group_by partial (Sum of Sums /
     Min of Mins / Max of Maxes are associative; counts combine by Sum),
@@ -227,8 +242,7 @@ def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000):
     tasks each combine one part.  Output contract: every row that shares a
     first-key value sits in one block, so a per-group step after this one
     can run inside each block (`map_batches(batch_size=None)`).  An empty
-    input gives 0 rows.  Other aggregations go straight to Ray's
-    `groupby().aggregate()` and carry no block contract."""
+    input gives 0 rows."""
     keys = [key] if isinstance(key, str) else list(key)
     spec = []          # (src_col_or_None, level1_fn, alias); Count -> row
     for a in aggs:     # count at level 1, Sum of counts afterwards
@@ -238,8 +252,9 @@ def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000):
             spec.append((col, "count" if col else "count_all", a.name))
             continue
         fn = _ARROW_FNS.get(cls)
-        if fn is None:                       # non-decomposable agg: shuffle
-            return ds.groupby(key).aggregate(*aggs)
+        if fn is None:
+            raise TypeError(f"sized_groupby supports Sum, Min, Max and Count, "
+                            f"not {cls}")
         spec.append((a._target_col_name, fn, a.name))
 
     def partial(b: pa.Table) -> pa.Table:
@@ -331,11 +346,10 @@ def union_groupby_inner(left, right, key_col: str,
 
     Each side's rows are padded with zeros for the other side's metric columns
     plus a presence counter; after the grouped Sum, rows seen on both sides
-    survive the filter.  Metric columns must be summable int64 partials (the
-    caller's per-batch pre-aggregation output), so summing partials across
-    blocks IS the per-key total — this replaces groupby(left) + groupby(right)
-    + join(32 actors) with a single Aggregate operator.  Scale: the shuffle
-    moves one row per (block, key), same volume as the join's build side."""
+    survive the filter.  Metric columns are summable integer columns (raw
+    rows or pre-summed), so the grouped Sum IS the per-key total — this
+    replaces groupby(left) + groupby(right) + join(32 actors) with one
+    sized_groupby, whose per-block partial moves one row per (block, key)."""
     def pad(side_cols, other_cols, pres):
         def kernel(b: pa.Table) -> pa.Table:
             n = b.num_rows
@@ -388,7 +402,7 @@ def knn_cells(ds, query_cellid: str, k: int, key_col: str = "cellid",
     qx, qy = float(qx[0]), float(qy[0])
     qlen = len(query_cellid)
 
-    def lcp_hist(batch: pa.Table) -> pa.Table:
+    def lcp(batch: pa.Table) -> pa.Table:
         col = batch.column(key_col)
         m = np.zeros(batch.num_rows, dtype=np.int32)
         for p in range(1, qlen + 1):
@@ -397,13 +411,11 @@ def knn_cells(ds, query_cellid: str, k: int, key_col: str = "cellid",
             m = np.where(hit, p, m)
             if not hit.any():
                 break
-        lv, cnt = np.unique(m, return_counts=True)
-        return pa.table({"lcp": pa.array(lv.astype(np.int64), pa.int64()),
-                         "_c": pa.array(cnt.astype(np.int64))})
+        return pa.table({"lcp": pa.array(m.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-    hist = sized_groupby(ds.map_batches(lcp_hist, batch_format="pyarrow"),
-                         "lcp", Sum("_c", alias_name="n")).to_pandas()
+    from ray.data.aggregate import Count
+    hist = sized_groupby(ds.map_batches(lcp, batch_format="pyarrow"),
+                         "lcp", Count(alias_name="n")).to_pandas()
     counts = dict(zip(hist["lcp"], hist["n"]))
     plen = 0          # fall through to the whole dataset (prefix "") when
     cum = 0           # even the 1-char face prefix holds fewer than k rows

@@ -23,10 +23,9 @@ def _decode_stacks(b: pa.Table):
     group instead of a Python loop of tiny-array numpy calls.  Decode
     itself stays per image (PNG inflate is per blob) but writes straight
     into the stack slot (no concat pass).  Returns [(row_indices,
-    stack)] covering every row; results are bit-identical to the scalar
-    loop (average_phash_batch is the pinned-equal batch twin, and numpy
-    reduces each image over the same contiguous element order either
-    way)."""
+    stack)] covering every row.  Only the phash is pinned bit-identical to
+    the scalar loop (average_phash_batch is its tested batch twin); the
+    stats are not (std is sqrt(E[x^2] - mean^2))."""
     ws = b.column("w").to_numpy()
     hs = b.column("h").to_numpy()
     fmts = b.column("fmt").to_pylist()

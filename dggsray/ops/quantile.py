@@ -46,22 +46,17 @@ def exact_group_quantiles(ds, value_col: str, group_col: str,
     re-scan (pass 2 keeps the union of the per-frac bucket ranges, each
     still ~n/n_buckets rows).  Returns
     (group, q0_lo, q0_hi, q1_lo, q1_hi, ..., n)."""
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Count, Max, Min
 
     from .joins import sized_groupby
 
     nq = len(fracs)
 
-    # pass 0: per-group count/min/max
-    def stat_partial(b: pa.Table) -> pa.Table:
-        g = b.select([group_col, value_col]).group_by(group_col).aggregate(
-            [(value_col, "count"), (value_col, "min"), (value_col, "max")])
-        return g.rename_columns([group_col, "_c", "_lo", "_hi"])
-
-    stats = sized_groupby(ds.map_batches(stat_partial, batch_format="pyarrow"),
-                          group_col, Sum("_c", alias_name="n"),
-                          Min("_lo", alias_name="lo"),
-                          Max("_hi", alias_name="hi")).to_pandas()
+    # pass 0: per-group non-null count/min/max
+    stats = sized_groupby(ds, group_col,
+                          Count(value_col, ignore_nulls=True, alias_name="n"),
+                          Min(value_col, alias_name="lo"),
+                          Max(value_col, alias_name="hi")).to_pandas()
     groups = stats[group_col].tolist()
     n_of = dict(zip(groups, stats["n"].astype(np.int64)))
     lo_of = dict(zip(groups, stats["lo"].astype(np.float64)))

@@ -287,7 +287,7 @@ def polygons_to_cells_ds(features: list[dict], res: int,
 
     # paint order: per cell keep the value of the max rank — packed into one
     # int64 score so the reduction is a native vectorized Max (no per-cell
-    # Python call), with a per-batch partial max before the shuffle
+    # Python call)
     from ray.data.aggregate import Max
     K = 1 << 21
 
@@ -296,10 +296,8 @@ def polygons_to_cells_ds(features: list[dict], res: int,
         if v.size and (v.min() < 0 or v.max() >= K):
             raise ValueError(f"burn value out of [0, {K}) for packed paint order")
         score = b.column("_rank").to_numpy() * K + v
-        t = pa.table({"cellid": b.column("cellid"),
-                      "_score": pa.array(score, pa.int64())})
-        g = t.group_by("cellid").aggregate([("_score", "max")])
-        return g.rename_columns(["cellid", "_score"])
+        return pa.table({"cellid": b.column("cellid"),
+                         "_score": pa.array(score, pa.int64())})
 
     from .joins import sized_groupby
     best = sized_groupby(shards.map_batches(encode, batch_format="pyarrow"),

@@ -6,8 +6,9 @@ Design rules for oracle bit-equality:
   into the compared values;
 - derived lon/lat points use the same closed-form key formulas as dggsray.oracle;
 - every computed column is named identically to its SQL AS alias.
-All stages are vectorized Arrow batches; groupbys are preceded by per-batch partial
-aggregation where the key cardinality is below the row count.
+All stages are vectorized Arrow batches; each grouped aggregation is one
+ops.joins.sized_groupby over row-level columns, whose per-block partial is the
+only pre-aggregation.
 """
 from __future__ import annotations
 
@@ -53,35 +54,38 @@ def _with_cells(batch: pa.Table, key_col: str, res: int) -> pa.Table:
                      "cellid": pa.array(cells, pa.string())})
 
 
+def _cell_rows(sf_dir: str, table: str, key_col: str, res: int):
+    """(key, cellid) rows of `table`'s derived points at `res`."""
+    return _read(sf_dir, table, [key_col]).map_batches(
+        lambda b: _with_cells(b, key_col, res), batch_format="pyarrow")
+
+
 # --- DGGS queries -----------------------------------------------------------
 
 def cell_encode_customer(sf_dir: str, res: int = 4):
     """(c_custkey, cellid) for derived equatorial points — the strongest oracle:
     DuckDB recomputes the full cellid string."""
-    ds = _read(sf_dir, "customer", ["c_custkey"])
-    out = ds.map_batches(lambda b: _with_cells(b, "c_custkey", res),
-                         batch_format="pyarrow")
-    return out.rename_columns(["c_custkey", "cellid"])
+    return _cell_rows(sf_dir, "customer", "c_custkey", res) \
+        .rename_columns(["c_custkey", "cellid"])
 
 
 def cell_count_by_face(sf_dir: str, res: int = 4):
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
     ds = cell_encode_customer(sf_dir, res)
 
-    def partial(b: pa.Table) -> pa.Table:
-        face = pc.utf8_slice_codeunits(b.column("cellid"), 0, 1)
-        t = pa.table({"face": face}).group_by("face").aggregate([([], "count_all")])
-        return t.rename_columns(["face", "_p"])
+    def face(b: pa.Table) -> pa.Table:
+        return pa.table({"face": pc.utf8_slice_codeunits(b.column("cellid"),
+                                                         0, 1)})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                         "face", Sum("_p", alias_name="n_points"))
+    return sized_groupby(ds.map_batches(face, batch_format="pyarrow"),
+                         "face", Count(alias_name="n_points"))
 
 
 def cell_agg_customer(sf_dir: str, res_fine: int = 4, res_coarse: int = 2):
     """Regrid-style aggregate: encode at res_fine, roll up to res_coarse, count and
     sum account balances in exact cents."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
@@ -91,38 +95,31 @@ def cell_agg_customer(sf_dir: str, res_fine: int = 4, res_coarse: int = 2):
         cells = cells_from_lonlat(res_fine, lon, lat, DEFAULT_GRID)
         coarse = truncate_to_resolution(cells, res_coarse)
         cents = np.rint(b.column("c_acctbal").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"cell": pa.array(coarse, pa.string()),
-                      "cents": pa.array(cents, pa.int64())})
-        g = t.group_by("cell").aggregate([("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["cell", "_ps", "_pc"])
+        return pa.table({"cell": pa.array(coarse, pa.string()),
+                         "cents": pa.array(cents, pa.int64())})
 
     return sized_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
-                         "cell", Sum("_ps", alias_name="bal_cents"),
-                         Sum("_pc", alias_name="n_customers"))
+                         "cell", Sum("cents", alias_name="bal_cents"),
+                         Count(alias_name="n_customers"))
 
 
 def cell_join_customer_orders(sf_dir: str, res: int = 3):
     """Inner join of customer-cells x order-cells on cellid; count pairs per
-    cell.  Both sides pre-aggregate per batch to (cellid, count), then the join
-    itself is a union + ONE native grouped Sum (ops.joins.union_groupby_inner)
-    — measured 3-6x faster than Ray's hash-join operator here because nothing
-    spins up per-partition aggregator actors for a few-thousand-row join."""
+    cell.  Each side is (cellid, 1) rows, and the join itself is a union +
+    ONE grouped Sum (ops.joins.union_groupby_inner) — measured 3-6x faster
+    than Ray's hash-join operator here because nothing spins up
+    per-partition aggregator actors for a few-thousand-row join."""
     from ..ops.joins import union_groupby_inner
 
-    def counts(key_col):
-        def kernel(b: pa.Table) -> pa.Table:
-            cells = _with_cells(b, key_col, res)
-            g = cells.select(["cellid"]).group_by("cellid") \
-                     .aggregate([([], "count_all")])
-            return g.rename_columns(["cellid", "nc" if key_col == "c_custkey"
-                                     else "no"])
-        return kernel
+    def ones(table, key_col, name):
+        return _cell_rows(sf_dir, table, key_col, res).map_batches(
+            lambda b: pa.table({"cellid": b.column("cellid"),
+                                name: pa.array(np.ones(b.num_rows, np.int64))}),
+            batch_format="pyarrow")
 
-    cc = _read(sf_dir, "customer", ["c_custkey"]) \
-        .map_batches(counts("c_custkey"), batch_format="pyarrow")
-    oc = _read(sf_dir, "orders", ["o_orderkey"]) \
-        .map_batches(counts("o_orderkey"), batch_format="pyarrow")
-    joined = union_groupby_inner(cc, oc, "cellid", ["nc"], ["no"])
+    joined = union_groupby_inner(ones("customer", "c_custkey", "nc"),
+                                 ones("orders", "o_orderkey", "no"),
+                                 "cellid", ["nc"], ["no"])
 
     def mul(b: pa.Table) -> pa.Table:
         pairs = pc.multiply(b.column("nc"), b.column("no"))
@@ -162,27 +159,24 @@ def cell_majority_nation(sf_dir: str, res: int = 2):
 
 def pricing_summary(sf_dir: str):
     """TPC-H Q1-flavoured aggregate with exact integer outputs."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         qty = b.column("l_quantity").to_numpy()
         price_c = np.rint(b.column("l_extendedprice").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"l_returnflag": b.column("l_returnflag"),
-                      "l_linestatus": b.column("l_linestatus"),
-                      "qty": pa.array(qty.astype(np.int64), pa.int64()),
-                      "price_cents": pa.array(price_c, pa.int64())})
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("price_cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "_q", "_p", "_n"])
+        return pa.table({"l_returnflag": b.column("l_returnflag"),
+                         "l_linestatus": b.column("l_linestatus"),
+                         "qty": pa.array(qty.astype(np.int64), pa.int64()),
+                         "price_cents": pa.array(price_c, pa.int64())})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
                          ["l_returnflag", "l_linestatus"],
-                         Sum("_q", alias_name="sum_qty"),
-                         Sum("_p", alias_name="sum_price_cents"),
-                         Sum("_n", alias_name="n_rows"))
+                         Sum("qty", alias_name="sum_qty"),
+                         Sum("price_cents", alias_name="sum_price_cents"),
+                         Count(alias_name="n_rows"))
 
 
 def top_orders(sf_dir: str, k: int = 25):
@@ -199,20 +193,18 @@ def top_orders(sf_dir: str, k: int = 25):
 
 
 def events_by_type(sf_dir: str):
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"event_type": b.column("event_type"),
-                      "cents": pa.array(cents, pa.int64())})
-        g = t.group_by("event_type").aggregate([("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["event_type", "_s", "_n"])
+        return pa.table({"event_type": b.column("event_type"),
+                         "cents": pa.array(cents, pa.int64())})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                         "event_type", Sum("_s", alias_name="value_cents"),
-                         Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
+                         "event_type", Sum("cents", alias_name="value_cents"),
+                         Count(alias_name="n_events"))
 
 
 # --- documents: dedup + text analysis --------------------------------------
@@ -224,7 +216,7 @@ def docs_dedup_exact(sf_dir: str):
     lexicographic Min is the min-doc_id row (zero-padded ids compare
     numerically), so groupby(text).Min recovers the kept row's lang without
     joining survivors back to the table."""
-    from ray.data.aggregate import Min, Sum
+    from ray.data.aggregate import Count, Min
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
@@ -238,38 +230,33 @@ def docs_dedup_exact(sf_dir: str):
     keep = sized_groupby(ds.map_batches(pack, batch_format="pyarrow"),
                          "text", Min("_packed", alias_name="_win"))
 
-    def partial(b: pa.Table) -> pa.Table:
-        lang = pc.utf8_slice_codeunits(b.column("_win"), 21, 2**31 - 1)
-        g = pa.table({"lang": lang}).group_by("lang") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["lang", "_n"])
+    def lang(b: pa.Table) -> pa.Table:
+        return pa.table({"lang": pc.utf8_slice_codeunits(b.column("_win"), 21,
+                                                         2**31 - 1)})
 
-    return sized_groupby(keep.map_batches(partial, batch_format="pyarrow"),
-                         "lang", Sum("_n", alias_name="n_unique_docs"))
+    return sized_groupby(keep.map_batches(lang, batch_format="pyarrow"),
+                         "lang", Count(alias_name="n_unique_docs"))
 
 
 def docs_token_stats(sf_dir: str):
     """Per-language token statistics: whitespace tokens, chars, docs — vectorized
     Arrow string kernels; all-int outputs."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "documents", ["text", "lang"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         toks = pc.list_value_length(pc.split_pattern_regex(b.column("text"), r"\s+"))
         # empty-string corner: split of "" yields [""] (1 token) in both engines
         chars = pc.utf8_length(b.column("text"))
-        t = pa.table({"lang": b.column("lang"),
-                      "toks": pc.cast(toks, pa.int64()),
-                      "chars": pc.cast(chars, pa.int64())})
-        g = t.group_by("lang").aggregate([("toks", "sum"), ("chars", "sum"),
-                                          ([], "count_all")])
-        return g.rename_columns(["lang", "_t", "_c", "_n"])
+        return pa.table({"lang": b.column("lang"),
+                         "toks": pc.cast(toks, pa.int64()),
+                         "chars": pc.cast(chars, pa.int64())})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                         "lang", Sum("_t", alias_name="n_tokens"),
-                         Sum("_c", alias_name="n_chars"),
-                         Sum("_n", alias_name="n_docs"))
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
+                         "lang", Sum("toks", alias_name="n_tokens"),
+                         Sum("chars", alias_name="n_chars"),
+                         Count(alias_name="n_docs"))
 
 
 def ann_cosine_top10(sf_dir: str, k: int = 10):
@@ -383,22 +370,15 @@ def docs_stratified_sample(sf_dir: str):
 def docs_pack_batches(sf_dir: str, budget: int = PACK_TOKEN_BUDGET):
     """Fixed-token-budget training-batch packing via distributed prefix sum
     (ops.sampling.pack_token_batches), summarized per batch."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..ops.sampling import pack_token_batches
 
     packed = pack_token_batches(_read(sf_dir, "documents", ["doc_id", "text"]),
                                 budget)
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.select(["batch_id", "n_tokens"]).group_by("batch_id") \
-             .aggregate([("n_tokens", "sum"), ([], "count_all")])
-        return g.rename_columns(["batch_id", "_ps", "_pc"])
-
-    return sized_groupby(packed.map_batches(partial, batch_format="pyarrow"),
-                         "batch_id",
-                         Sum("_ps", alias_name="sum_tokens"),
-                         Sum("_pc", alias_name="n_docs"))
+    return sized_groupby(packed, "batch_id",
+                         Sum("n_tokens", alias_name="sum_tokens"),
+                         Count(alias_name="n_docs"))
 
 
 def events_median_value(sf_dir: str):
@@ -541,22 +521,21 @@ def video_scene_cuts(sf_dir: str):
 
 
 def events_top_users(sf_dir: str, k: int = 3):
-    """Grouped top-k (top users by summed value per event type): per-batch
-    partial (type, user) sums -> one keyed shuffle -> per-block vectorized
-    grouped top-k -> tiny single-block final merge.  No global sort."""
+    """Grouped top-k (top users by summed value per event type): one
+    sized_groupby of (type, user) sums, which leaves all of a type's rows
+    in one block, then a vectorized grouped top-k inside each block.  No
+    global sort."""
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_type", "user_id", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"event_type": b.column("event_type"),
-                      "user_id": b.column("user_id"),
-                      "_c": pa.array(cents)})
-        g = t.group_by(["event_type", "user_id"]).aggregate([("_c", "sum")])
-        return g.rename_columns(["event_type", "user_id", "_c"])
+        return pa.table({"event_type": b.column("event_type"),
+                         "user_id": b.column("user_id"),
+                         "_c": pa.array(cents)})
 
-    agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    agg = sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
                         ["event_type", "user_id"],
                         Sum("_c", alias_name="cents"))
 
@@ -573,10 +552,7 @@ def events_top_users(sf_dir: str, k: int = 3):
         ranks = np.arange(len(et)) - np.repeat(starts, sizes)
         return b.filter(pa.array(ranks < k))
 
-    # per-block partial top-k, then ONE coalesced final pass (<= k*types*blocks
-    # rows — a merge, not a shuffle)
-    return agg.map_batches(block_topk, batch_format="pyarrow") \
-        .repartition(1).map_batches(block_topk, batch_format="pyarrow")
+    return agg.map_batches(block_topk, batch_format="pyarrow", batch_size=None)
 
 
 def docs_split_counts(sf_dir: str):
@@ -584,24 +560,21 @@ def docs_split_counts(sf_dir: str):
     (ops.sampling.with_split — pure per-batch hash labeler, no shuffle in
     the assignment), summarized per (lang, split) with exact token sums.
     The oracle recomputes the label with the same integer arithmetic."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..ops.sampling import _token_counts, with_split
 
     ds = with_split(_read(sf_dir, "documents", ["doc_id", "lang", "text"]),
                     "doc_id")
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"lang": b.column("lang"), "split": b.column("split"),
-                      "_n": _token_counts(b, "text")})
-        g = t.group_by(["lang", "split"]).aggregate(
-            [("_n", "sum"), ([], "count_all")])
-        return g.rename_columns(["lang", "split", "_s", "_c"])
+    def rows(b: pa.Table) -> pa.Table:
+        return pa.table({"lang": b.column("lang"), "split": b.column("split"),
+                         "_n": _token_counts(b, "text")})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
                          ["lang", "split"],
-                         Sum("_s", alias_name="n_tokens"),
-                         Sum("_c", alias_name="n_docs"))
+                         Sum("_n", alias_name="n_tokens"),
+                         Count(alias_name="n_docs"))
 
 
 def docs_sample_n_per_group(sf_dir: str, n: int = 5):
@@ -682,10 +655,8 @@ def docs_corpus_pipeline(sf_dir: str, budget: int = PACK_TOKEN_BUDGET):
         ids = b.column("doc_id").to_numpy()
         langs = b.column("lang").to_pylist()
         packed = [f"{i:020d}|{l}" for i, l in zip(ids, langs)]
-        g = pa.table({"text": b.column("text"),
-                      "_w": pa.array(packed, pa.string())}) \
-            .group_by("text").aggregate([("_w", "min")])
-        return g.rename_columns(["text", "_w"])
+        return pa.table({"text": b.column("text"),
+                         "_w": pa.array(packed, pa.string())})
 
     winners = sized_groupby(
         ds.map_batches(qual_and_pack, batch_format="pyarrow"),
@@ -703,17 +674,11 @@ def docs_corpus_pipeline(sf_dir: str, budget: int = PACK_TOKEN_BUDGET):
     sampled = hash_sample(survivors, SAMPLE_RATES_PER_MILLE, "doc_id", "lang")
     packed = pack_token_batches(sampled, budget)
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.select(["batch_id", "n_tokens"]).group_by("batch_id") \
-             .aggregate([("n_tokens", "sum"), ([], "count_all")])
-        return g.rename_columns(["batch_id", "_ps", "_pc"])
+    from ray.data.aggregate import Count, Sum
 
-    from ray.data.aggregate import Sum
-
-    return sized_groupby(packed.map_batches(partial, batch_format="pyarrow"),
-                         "batch_id",
-                         Sum("_ps", alias_name="sum_tokens"),
-                         Sum("_pc", alias_name="n_docs"))
+    return sized_groupby(packed, "batch_id",
+                         Sum("n_tokens", alias_name="sum_tokens"),
+                         Count(alias_name="n_docs"))
 
 
 def docs_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
@@ -800,10 +765,10 @@ def images_augment(sf_dir: str):
     combination — row count, mean |brightness shift|, and the mean phash
     Hamming distance between original and augmented pixels (flips permute
     the 8x8 hash blocks -> large distance; pure brightness shifts barely
-    move it).  Augmented bytes stay inside the stage; only integer partials
-    shuffle."""
+    move it).  Augmented bytes stay inside the stage; only integer columns
+    reach the aggregation."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..io.imagetable import ensure_image_table
     from ..ops.dedup import _popcount64
@@ -813,30 +778,25 @@ def images_augment(sf_dir: str):
     aug = ds.map_batches(ImageAugment, batch_format="pyarrow",
                          concurrency=_default_pool(), max_restarts=0)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         ham = _popcount64(b.column("orig_phash").to_numpy().astype(np.uint64)
                           ^ b.column("phash").to_numpy().astype(np.uint64))
         # in-row oracle: decoded-image phash vs the phash stored at
         # synthesis — summed per group, asserted zero in tests
         bad = pc.cast(pc.not_equal(b.column("decoded_phash"),
                                    b.column("orig_phash")), pa.int64())
-        t = pa.table({
+        return pa.table({
             "flip_h": b.column("flip_h"), "flip_v": b.column("flip_v"),
             "_ham": pa.array(ham.astype(np.int64)),
             "_abs": pc.abs(b.column("bright_shift")),
             "_bad": bad})
-        g = t.group_by(["flip_h", "flip_v"]).aggregate(
-            [("_ham", "sum"), ("_abs", "sum"), ("_bad", "sum"),
-             ([], "count_all")])
-        return g.rename_columns(["flip_h", "flip_v", "_sh", "_sa", "_sb",
-                                 "_n"])
 
-    agg = sized_groupby(aug.map_batches(partial, batch_format="pyarrow"),
+    agg = sized_groupby(aug.map_batches(rows, batch_format="pyarrow"),
                         ["flip_h", "flip_v"],
-                        Sum("_sh", alias_name="_sh"),
-                        Sum("_sa", alias_name="_sa"),
-                        Sum("_sb", alias_name="n_decode_mismatch"),
-                        Sum("_n", alias_name="n_images"))
+                        Sum("_ham", alias_name="_sh"),
+                        Sum("_abs", alias_name="_sa"),
+                        Sum("_bad", alias_name="n_decode_mismatch"),
+                        Count(alias_name="n_images"))
 
     def fin(b: pa.Table) -> pa.Table:
         n = np.maximum(b.column("n_images").to_numpy(), 1)
@@ -869,7 +829,7 @@ def images_caption_filter(sf_dir: str, min_tokens: int = 4):
     ds = rd.read_parquet(ensure_image_table(_sf_of(sf_dir)),
                          columns=["image_id", "fmt", "caption"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         q = quality_metrics_batch(b, text_col="caption")
         ntok = q.column("n_tokens").to_numpy()
         ndig = q.column("n_digits").to_numpy()
@@ -878,15 +838,12 @@ def images_caption_filter(sf_dir: str, min_tokens: int = 4):
         # noise; integer-exact ratio rule, threshold set where the synthetic
         # caption population actually splits
         keep = (ntok >= min_tokens) & (ndig * 1000 <= nch * 390)
-        t = pa.table({"fmt": b.column("fmt"),
-                      "_k": pa.array(keep.astype(np.int64)),
-                      "_d": pa.array((~keep).astype(np.int64)),
-                      "_c": pa.array(np.where(keep, nch, 0))})
-        g = t.group_by("fmt").aggregate(
-            [("_k", "sum"), ("_d", "sum"), ("_c", "sum")])
-        return g.rename_columns(["fmt", "_k", "_d", "_c"])
+        return pa.table({"fmt": b.column("fmt"),
+                         "_k": pa.array(keep.astype(np.int64)),
+                         "_d": pa.array((~keep).astype(np.int64)),
+                         "_c": pa.array(np.where(keep, nch, 0))})
 
-    agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    agg = sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
                         "fmt", Sum("_k", alias_name="n_kept"),
                         Sum("_d", alias_name="n_dropped"),
                         Sum("_c", alias_name="_c"))
@@ -937,19 +894,10 @@ def images_corpus_pipeline(sf_dir: str, bright_max_milli: int = 127_000):
                          Min("image_id", alias_name="keeper_id")) \
         .to_pandas()["keeper_id"].tolist()
     winners = broadcast_semi_join(good, keep, key_col="image_id")
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"fmt": b.column("fmt"),
-                      "_b": b.column("bright_milli"),
-                      "_c": b.column("contrast_milli")})
-        g = t.group_by("fmt").aggregate(
-            [("_b", "sum"), ("_c", "sum"), ([], "count_all")])
-        return g.rename_columns(["fmt", "_sb", "_sc", "_n"])
-
-    agg = sized_groupby(winners.map_batches(partial, batch_format="pyarrow"),
-                        "fmt", Sum("_sb", alias_name="_sb"),
-                        Sum("_sc", alias_name="_sc"),
-                        Sum("_n", alias_name="n_kept"))
+    agg = sized_groupby(winners, "fmt",
+                        Sum("bright_milli", alias_name="_sb"),
+                        Sum("contrast_milli", alias_name="_sc"),
+                        Count(alias_name="n_kept"))
 
     def fin(b: pa.Table) -> pa.Table:
         n = b.column("n_kept").to_numpy()
@@ -1123,9 +1071,7 @@ def auid_customer_region(sf_dir: str, res: int = 3):
     from ..core.auid import RHEALPixAUIDGenerator, optimize_cuids
     import pandas as pd
 
-    ds = _read(sf_dir, "customer", ["c_custkey"]) \
-        .map_batches(lambda b: _with_cells(b, "c_custkey", res),
-                     batch_format="pyarrow")
+    ds = _cell_rows(sf_dir, "customer", "c_custkey", res)
     cuids = sorted(set(ds.unique("cellid")))
     opt = optimize_cuids(cuids, 3)
     gen = RHEALPixAUIDGenerator(n_side=3)
@@ -1136,10 +1082,7 @@ def auid_customer_region(sf_dir: str, res: int = 3):
 
 def knn_cells_customer(sf_dir: str, k: int = 15):
     from ..ops.joins import knn_cells
-    ds = _read(sf_dir, "customer", ["c_custkey"]) \
-        .map_batches(lambda b: _with_cells(b, "c_custkey", 6),
-                     batch_format="pyarrow") \
-        .rename_columns(["c_custkey", "cellid"])
+    ds = cell_encode_customer(sf_dir, 6)
     # deterministic query cell: the cell of customer key 1
     qlon, qlat = derived_lonlat(np.array([1]))
     qcell = cells_from_lonlat(6, qlon, qlat, DEFAULT_GRID)[0]
@@ -1235,12 +1178,10 @@ def cell_setops_customer_orders(sf_dir: str, res: int = 3):
     expanded and shuffled exactly once, not once per set operator."""
     from ..ops.cellsets import area_setop_flags
 
-    cust = _read(sf_dir, "customer", ["c_custkey"]) \
-        .map_batches(lambda b: _with_cells(b, "c_custkey", res),
-                     batch_format="pyarrow").select_columns(["cellid"])
-    orders = _read(sf_dir, "orders", ["o_orderkey"]) \
-        .map_batches(lambda b: _with_cells(b, "o_orderkey", res),
-                     batch_format="pyarrow").select_columns(["cellid"])
+    cust = _cell_rows(sf_dir, "customer", "c_custkey", res) \
+        .select_columns(["cellid"])
+    orders = _cell_rows(sf_dir, "orders", "o_orderkey", res) \
+        .select_columns(["cellid"])
     import pandas as pd
     flags = area_setop_flags(cust, orders, res)
 
@@ -1260,19 +1201,11 @@ def cell_setops_customer_orders(sf_dir: str, res: int = 3):
 
 def cell_topk_densest(sf_dir: str, res: int = 4, k: int = 20):
     """Top-k cells by customer count (sort+limit over a cell aggregate)."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "customer", ["c_custkey"]) \
-        .map_batches(lambda b: _with_cells(b, "c_custkey", res),
-                     batch_format="pyarrow")
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.select(["cellid"]).group_by("cellid").aggregate([([], "count_all")])
-        return g.rename_columns(["cellid", "_p"])
+    from ray.data.aggregate import Count
 
     from ..ops.topk import partial_topk
-    agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                        "cellid", Sum("_p", alias_name="n_points"))
+    agg = sized_groupby(_cell_rows(sf_dir, "customer", "c_custkey", res),
+                        "cellid", Count(alias_name="n_points"))
     return partial_topk(agg, ["n_points", "cellid"], [True, False], k)
 
 
@@ -1306,51 +1239,44 @@ def events_asof_click_error(sf_dir: str):
 
 def events_hourly(sf_dir: str):
     """Events per (type, hour-of-day): temporal bucketing + grouped aggregate."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         hours = pc.hour(b.column("ts"))
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"event_type": b.column("event_type"),
-                      "hour": pc.cast(hours, pa.int32()),
-                      "cents": pa.array(cents)})
-        g = t.group_by(["event_type", "hour"]).aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["event_type", "hour", "_s", "_n"])
+        return pa.table({"event_type": b.column("event_type"),
+                         "hour": pc.cast(hours, pa.int32()),
+                         "cents": pa.array(cents)})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
                          ["event_type", "hour"],
-                         Sum("_s", alias_name="value_cents"),
-                         Sum("_n", alias_name="n_events"))
+                         Sum("cents", alias_name="value_cents"),
+                         Count(alias_name="n_events"))
 
 
 def events_cell_hourly(sf_dir: str, res: int = 2):
     """Spatiotemporal cube: events per (DGGS cell, hour-of-day) with exact
     cent sums — the ST-binning shape (H3/S2-style cell x time bucket) over
-    user-derived points.  One partial aggregate per batch, one keyed shuffle
-    of (cell x 24)-bounded partials."""
-    from ray.data.aggregate import Sum
+    user-derived points, one sized_groupby over the (cell, hour) rows."""
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         keys = b.column("user_id").to_numpy()
         lon, lat = derived_lonlat(keys)
         cells = cells_from_lonlat(res, lon, lat, DEFAULT_GRID)
         hours = pc.cast(pc.hour(b.column("ts")), pa.int32())
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"cell": pa.array(cells, pa.string()), "hour": hours,
-                      "cents": pa.array(cents)})
-        g = t.group_by(["cell", "hour"]).aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["cell", "hour", "_s", "_n"])
+        return pa.table({"cell": pa.array(cells, pa.string()), "hour": hours,
+                         "cents": pa.array(cents)})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
                          ["cell", "hour"],
-                         Sum("_s", alias_name="value_cents"),
-                         Sum("_n", alias_name="n_events"))
+                         Sum("cents", alias_name="value_cents"),
+                         Count(alias_name="n_events"))
 
 
 def events_geofence(sf_dir: str, res: int = 3):
@@ -1362,28 +1288,25 @@ def events_geofence(sf_dir: str, res: int = 3):
     every event's cellid in closed-form SQL and tests membership against the
     SAME cover literal — the cover itself is pinned by the rasterizer's own
     golden tests, the join/aggregate is verified independently."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     cover = geofence_cover(res)
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         keys = b.column("user_id").to_numpy()
         lon, lat = derived_lonlat(keys)
         cells = cells_from_lonlat(res, lon, lat, DEFAULT_GRID)
         inside = np.isin(cells, cover)
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"event_type": b.column("event_type").filter(
-                          pa.array(inside)),
-                      "cents": pa.array(cents[inside])})
-        g = t.group_by("event_type").aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["event_type", "_s", "_n"])
+        return pa.table({"event_type": b.column("event_type").filter(
+                             pa.array(inside)),
+                         "cents": pa.array(cents[inside])})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                         "event_type", Sum("_s", alias_name="value_cents"),
-                         Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
+                         "event_type", Sum("cents", alias_name="value_cents"),
+                         Count(alias_name="n_events"))
 
 
 def geofence_cover(res: int = 3) -> np.ndarray:
@@ -1405,29 +1328,25 @@ def events_moving_window(sf_dir: str, window: int = 3):
     CURRENT ROW` semantics — rows, not time-range, so hour gaps do not pad).
 
     Scale shape: the wide input reduces DISTRIBUTEDLY to (type, hour)
-    hourly partials first — cardinality bounded by #types x #hours (time
-    span, not data volume) — then ONE vectorized sliding pass runs over that
-    small sorted table.  At 100 TB the hourly table for 5 types x a decade
-    is ~440k rows: single-task territory by construction.
+    hourly sums first — cardinality bounded by #types x #hours (time
+    span, not data volume) — and all hours of a type leave sized_groupby
+    in one block, so one vectorized sliding pass runs inside each block.
     """
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         hour_ts = pc.floor_temporal(b.column("ts"), unit="hour")
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"event_type": b.column("event_type"),
-                      "hour_ts": hour_ts,
-                      "cents": pa.array(cents)})
-        g = t.group_by(["event_type", "hour_ts"]).aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["event_type", "hour_ts", "_s", "_n"])
+        return pa.table({"event_type": b.column("event_type"),
+                         "hour_ts": hour_ts,
+                         "cents": pa.array(cents)})
 
-    hourly = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    hourly = sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
                            ["event_type", "hour_ts"],
-                           Sum("_s", alias_name="cents"),
-                           Sum("_n", alias_name="n"))
+                           Sum("cents", alias_name="cents"),
+                           Count(alias_name="n"))
 
     def sliding(b: pa.Table) -> pa.Table:
         idx = pc.sort_indices(b, sort_keys=[("event_type", "ascending"),
@@ -1454,9 +1373,7 @@ def events_moving_window(sf_dir: str, window: int = 3):
             "win_cents": pa.array(cs_c[hi] - cs_c[lo], pa.int64()),
             "win_events": pa.array(cs_n[hi] - cs_n[lo], pa.int64())})
 
-    # one block by construction (hourly table is tiny post-aggregation)
-    return hourly.repartition(1).map_batches(sliding, batch_format="pyarrow",
-                                             batch_size=None)
+    return hourly.map_batches(sliding, batch_format="pyarrow", batch_size=None)
 
 
 def orders_lineitem_revenue(sf_dir: str, k: int = 50):
@@ -1466,18 +1383,16 @@ def orders_lineitem_revenue(sf_dir: str, k: int = 50):
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         price = b.column("l_extendedprice").to_numpy()
         disc = b.column("l_discount").to_numpy()
         rev = np.rint(price * 100).astype(np.int64) \
             * np.rint((1 - disc) * 100).astype(np.int64)
-        t = pa.table({"l_orderkey": b.column("l_orderkey"),
-                      "rev": pa.array(rev)})
-        g = t.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["l_orderkey", "_r"])
+        return pa.table({"l_orderkey": b.column("l_orderkey"),
+                         "rev": pa.array(rev)})
 
-    rev = sized_groupby(li.map_batches(partial, batch_format="pyarrow"),
-                        "l_orderkey", Sum("_r", alias_name="revenue_e4"))
+    rev = sized_groupby(li.map_batches(rows, batch_format="pyarrow"),
+                        "l_orderkey", Sum("rev", alias_name="revenue_e4"))
     from ..ops.topk import partial_topk
     # top-k the (l_orderkey, revenue) aggregate BEFORE touching orders: the k
     # winners (tiny) become a broadcast is_in filter over the orders scan, so
@@ -1497,30 +1412,25 @@ def orders_lineitem_revenue(sf_dir: str, k: int = 50):
 
 
 def docs_vocab_topk(sf_dir: str, k: int = 50):
-    """Corpus vocabulary: the k most frequent whitespace tokens.  The classic
-    wide aggregate done combiner-first: every batch pre-counts its own tokens
-    with one Arrow split+flatten+value_counts (the shuffle then moves
-    (distinct-token x block) partial rows, not one row per token INSTANCE),
-    a keyed Sum merges partials, and ops.topk.partial_topk picks the winners
-    without a global sort.  At 100 TB the exchanged bytes are bounded by
-    vocabulary size x block count — independent of corpus length."""
-    from ray.data.aggregate import Sum
+    """Corpus vocabulary: the k most frequent whitespace tokens.  Each batch
+    flattens to one row per token instance, sized_groupby counts them (its
+    per-block partial is what crosses tasks, bounded by vocabulary size x
+    block count), and ops.topk.partial_topk picks the winners without a
+    global sort."""
+    from ray.data.aggregate import Count
 
     from ..ops.topk import partial_topk
 
     ds = _read(sf_dir, "documents", ["text"])
-
-    def counts(b: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(b.column("text"), r"\s+"))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        vc = toks.value_counts()
-        return pa.table({"token": vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
-
-    tot = sized_groupby(ds.map_batches(counts, batch_format="pyarrow"),
-                        "token", Sum("n", alias_name="n"))
+    tot = sized_groupby(ds.map_batches(_tokens, batch_format="pyarrow"),
+                        "token", Count(alias_name="n"))
     return partial_topk(tot, ["n", "token"], [True, False], k)
+
+
+def _tokens(b: pa.Table) -> pa.Table:
+    """One row per non-empty whitespace token of the batch's `text`."""
+    toks = pc.list_flatten(pc.split_pattern_regex(b.column("text"), r"\s+"))
+    return pa.table({"token": toks.filter(pc.not_equal(toks, ""))})
 
 
 def docs_chunk_windows(sf_dir: str, chunk: int = 32, stride: int = 24):
@@ -1567,8 +1477,8 @@ def docs_chunk_windows(sf_dir: str, chunk: int = 32, stride: int = 24):
 def docs_token_commonness(sf_dir: str, broadcast_limit: int = 2_000_000):
     """Corpus-statistics scoring — the two-pass broadcast-stats shape every
     frequency-based quality filter (TF weighting, unigram-LM surprisal)
-    follows: pass 1 aggregates global token counts (combiner-first, same
-    machinery as docs_vocab_topk), the small vocab table is broadcast via
+    follows: pass 1 aggregates global token counts (the same sized_groupby
+    as docs_vocab_topk), the small vocab table is broadcast via
     ray.put, pass 2 streams the corpus scoring each doc.  Integer outputs
     (sum and floor-mean of per-token global counts) keep the oracle
     hash-exact where a float log-prob would not be.
@@ -1582,20 +1492,11 @@ def docs_token_commonness(sf_dir: str, broadcast_limit: int = 2_000_000):
     memory everywhere (the tested over-cap path; same fallback shape as
     docs_tfidf_topk)."""
     import ray
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def counts(b: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(b.column("text"), r"\s+"))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        vc = toks.value_counts()
-        return pa.table({"token": vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
-
-    vocab_ds = sized_groupby(ds.map_batches(counts, batch_format="pyarrow"),
-                             "token", Sum("n", alias_name="n")).materialize()
+    vocab_ds = sized_groupby(ds.map_batches(_tokens, batch_format="pyarrow"),
+                             "token", Count(alias_name="n")).materialize()
     if vocab_ds.count() > broadcast_limit:
         return _token_commonness_joined(ds, vocab_ds)
     vocab = vocab_ds.to_pandas()        # <= broadcast_limit rows by the gate
@@ -1670,16 +1571,13 @@ def _token_commonness_joined(ds, vocab_ds):
     joined = hash_join(tf, vocab_ds.union(sentinel), on="token",
                        num_partitions=join_partitions())
 
-    def partial_doc(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         s = pc.multiply(pc.cast(b.column("tf"), pa.int64()),
                         pc.cast(b.column("n"), pa.int64()))
-        t = pa.table({"doc_id": b.column("doc_id"),
-                      "_nt": b.column("tf"), "_s": s})
-        g = t.group_by("doc_id").aggregate([("_nt", "sum"), ("_s", "sum")])
-        return g.rename_columns(["doc_id", "_nt", "_s"])
+        return pa.table({"doc_id": b.column("doc_id"),
+                         "_nt": b.column("tf"), "_s": s})
 
-    per_doc = sized_groupby(joined.map_batches(partial_doc,
-                                               batch_format="pyarrow"),
+    per_doc = sized_groupby(joined.map_batches(rows, batch_format="pyarrow"),
                             "doc_id", Sum("_nt", alias_name="_nt"),
                             Sum("_s", alias_name="_s"))
 
@@ -1699,24 +1597,20 @@ def events_props_extract(sf_dir: str):
     """Semi-structured parsing: pull the integer field `k` out of the JSON
     `props` column with ONE vectorized Arrow regex per batch (extract_regex —
     no per-row json.loads), then a low-cardinality grouped aggregate per
-    event type.  The JSON never leaves the scan stage; the shuffle moves one
-    partial row per (event_type, block)."""
-    from ray.data.aggregate import Max, Sum
+    event type.  The JSON never leaves the scan stage."""
+    from ray.data.aggregate import Count, Max, Sum
 
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def kernel(b: pa.Table) -> pa.Table:
         ex = pc.extract_regex(b.column("props"), r'"k":\s*(?P<k>\d+)')
         kv = pc.cast(pc.struct_field(ex, "k"), pa.int64())
-        t = pa.table({"event_type": b.column("event_type"), "_k": kv})
-        g = t.group_by("event_type").aggregate(
-            [("_k", "sum"), ("_k", "max"), ([], "count_all")])
-        return g.rename_columns(["event_type", "_s", "_m", "_n"])
+        return pa.table({"event_type": b.column("event_type"), "_k": kv})
 
     return sized_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
-                         "event_type", Sum("_s", alias_name="sum_k"),
-                         Max("_m", alias_name="max_k"),
-                         Sum("_n", alias_name="n_events"))
+                         "event_type", Sum("_k", alias_name="sum_k"),
+                         Max("_k", alias_name="max_k"),
+                         Count(alias_name="n_events"))
 
 
 def docs_tfidf_topk(sf_dir: str, k: int = 5,
@@ -1729,9 +1623,8 @@ def docs_tfidf_topk(sf_dir: str, k: int = 5,
     1. tf — one vectorized Arrow pass (split + list_parent_indices +
        batch-local group_by; every doc lives in exactly one batch, so the
        batch-local count IS the final tf).  No shuffle.
-    2. df — per-block token value_counts (distinct per doc already) summed
-       by sized_groupby: the exchange moves (vocab x blocks) partial rows,
-       never token instances.
+    2. df — sized_groupby counts the (doc, token) rows per token; its
+       per-block partial bounds the exchange by (vocab x blocks) rows.
     3. score + per-doc top-k — vocabularies are bounded (~1e7 terms at web
        scale, ~100 MB), so the df table is ray.put once and probed per batch
        (broadcast_lookup_join); doc locality is preserved, making the
@@ -1741,10 +1634,9 @@ def docs_tfidf_topk(sf_dir: str, k: int = 5,
 
     Emits (doc_id, token, tf, score) — the corpus recomputes once per
     consuming pass instead of materializing the doc x token matrix."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
-    from ..ops.joins import (broadcast_lookup_join, hash_join,
-                             join_partitions, sized_groupby)
+    from ..ops.joins import broadcast_lookup_join, hash_join, join_partitions
 
     def tf_kernel(b: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(b.column("text"), r"\s+")
@@ -1762,14 +1654,7 @@ def docs_tfidf_topk(sf_dir: str, k: int = 5,
         return _read(sf_dir, "documents", ["doc_id", "text"]) \
             .map_batches(tf_kernel, batch_format="pyarrow")
 
-    def df_partial(b: pa.Table) -> pa.Table:
-        vc = b.column("token").value_counts()
-        return pa.table({"token": vc.field("values"),
-                         "df": pc.cast(vc.field("counts"), pa.int64())})
-
-    df = sized_groupby(tf_ds().map_batches(df_partial,
-                                           batch_format="pyarrow"),
-                       "token", Sum("df", alias_name="df"))
+    df = sized_groupby(tf_ds(), "token", Count(alias_name="df"))
 
     def score_topk(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -1870,46 +1755,23 @@ def docs_heavy_hitters(sf_dir: str, phi_ppm: int = 34_000):
     from ..ops.sketch import heavy_hitters
 
     ds = _read(sf_dir, "documents", ["text"])
-
-    def tok(b: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(b.column("text"), r"\s+"))
-        return pa.table({"token": toks.filter(pc.not_equal(toks, ""))})
-
-    return heavy_hitters(ds, tok, phi_ppm)
+    return heavy_hitters(ds, _tokens, phi_ppm)
 
 
 def events_distinct_users(sf_dir: str):
-    """Exact COUNT(DISTINCT user_id) per event type: per-block pair dedup
-    (Arrow group_by — the block's duplicate users collapse before anything
-    moves), a keyed pair-dedup groupby bounded by |type x user|, then a
-    low-cardinality count.  The classic two-level distinct that never ships
-    raw events."""
-    from ray.data.aggregate import Sum
-
+    """Exact COUNT(DISTINCT user_id) per event type: sized_groupby takes
+    the distinct (type, user) pairs, and since all pairs of a type leave it
+    in one block, one value_counts per block counts them."""
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-
-    def pairs(b: pa.Table) -> pa.Table:
-        g = b.group_by(["event_type", "user_id"]).aggregate([([],
-                                                              "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "user_id": pc.cast(g.column("user_id"), pa.int64()),
-                         "_one": pa.array(np.ones(g.num_rows, np.int64))})
-
-    from ray.data.aggregate import Min
-    dedup = sized_groupby(ds.map_batches(pairs, batch_format="pyarrow"),
-                          ["event_type", "user_id"],
-                          Min("_one", alias_name="_one"))
+    pairs = sized_groupby(ds, ["event_type", "user_id"])
 
     def per_type(b: pa.Table) -> pa.Table:
         vc = b.column("event_type").value_counts()
         return pa.table({"event_type": vc.field("values"),
                          "n_users": pc.cast(vc.field("counts"), pa.int64())})
 
-    return sized_groupby(dedup.map_batches(per_type,
-                                             batch_format="pyarrow"),
-                         "event_type", Sum("n_users",
-                                             alias_name="n_users"))
+    return pairs.map_batches(per_type, batch_format="pyarrow",
+                             batch_size=None)
 
 
 def events_distinct_users_hll(sf_dir: str, p: int = 14):
@@ -2011,13 +1873,11 @@ def images_neardup_components(sf_dir: str, max_hamming: int = 3):
         kept = b.filter(pa.array(keep))
         return pa.table({
             "component": pa.array(comp[keep]),
-            "n_phashes": pa.array(np.ones(int(keep.sum()), np.int64)),
             "n_members": kept.column("n_members"),
             "n_jpeg": kept.column("n_jpeg")})
 
     return sized_groupby(distinct.map_batches(flag, batch_format="pyarrow"),
-                         "component",
-                         Sum("n_phashes", alias_name="n_phashes"),
+                         "component", Count(alias_name="n_phashes"),
                          Sum("n_members", alias_name="n_members"),
                          Sum("n_jpeg", alias_name="n_jpeg"))
 
@@ -2171,31 +2031,29 @@ def docs_normalize_text(sf_dir: str):
 def revenue_by_region(sf_dir: str):
     """TPC-H Q5-flavoured star join — revenue per REGION through the full
     dimension chain lineitem -> orders -> customer -> nation -> region.
-    The fact table collapses FIRST (per-order revenue partials inside each
-    block, then one keyed sum), each hash join therefore moves one row per
+    The fact table collapses FIRST (one keyed sum per order), each hash
+    join therefore moves one row per
     order / per customer — never line items — and the two tiny dimensions
     (25 nations, 5 regions) are driver-mapped, not joined.  Exact integer
     cents*cents arithmetic (revenue_e4) as in orders_lineitem_revenue."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..ops.joins import adaptive_join
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_extendedprice", "l_discount"])
 
-    def li_partial(b: pa.Table) -> pa.Table:
+    def li_rows(b: pa.Table) -> pa.Table:
         price = b.column("l_extendedprice").to_numpy()
         disc = b.column("l_discount").to_numpy()
         rev = np.rint(price * 100).astype(np.int64) \
             * np.rint((1 - disc) * 100).astype(np.int64)
-        t = pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
-                                            pa.int64()),
-                      "rev": pa.array(rev)})
-        g = t.group_by("o_orderkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["o_orderkey", "_r"])
+        return pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
+                                               pa.int64()),
+                         "rev": pa.array(rev)})
 
-    rev = sized_groupby(li.map_batches(li_partial, batch_format="pyarrow"),
-                        "o_orderkey", Sum("_r", alias_name="_rev"))
+    rev = sized_groupby(li.map_batches(li_rows, batch_format="pyarrow"),
+                        "o_orderkey", Sum("rev", alias_name="_rev"))
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]) \
         .map_batches(lambda b: pa.table({
@@ -2204,18 +2062,9 @@ def revenue_by_region(sf_dir: str):
             batch_format="pyarrow")
     per_order = adaptive_join(orders, rev, on="o_orderkey")
 
-    def cust_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"c_custkey": b.column("c_custkey"),
-                      "_rev": b.column("_rev"),
-                      "_n": pa.array(np.ones(b.num_rows, np.int64))})
-        g = t.group_by("c_custkey").aggregate([("_rev", "sum"),
-                                               ("_n", "sum")])
-        return g.rename_columns(["c_custkey", "_rev", "_n"])
-
-    cust_rev = sized_groupby(per_order.map_batches(cust_partial,
-                                                   batch_format="pyarrow"),
-                             "c_custkey", Sum("_rev", alias_name="_rev"),
-                             Sum("_n", alias_name="_n"))
+    cust_rev = sized_groupby(per_order, "c_custkey",
+                             Sum("_rev", alias_name="_rev"),
+                             Count(alias_name="_n"))
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]) \
         .map_batches(lambda b: pa.table({
@@ -2224,20 +2073,11 @@ def revenue_by_region(sf_dir: str):
             batch_format="pyarrow")
     per_cust = adaptive_join(cust, cust_rev, on="c_custkey")
 
-    def nation_partial(b: pa.Table) -> pa.Table:
-        g = pa.table({"n_nationkey": b.column("n_nationkey"),
-                      "_rev": b.column("_rev"), "_n": b.column("_n")}) \
-            .group_by("n_nationkey").aggregate([("_rev", "sum"),
-                                                ("_n", "sum")])
-        return g.rename_columns(["n_nationkey", "_rev", "_n"])
-
     per_nation = sized_groupby(
-        per_cust.map_batches(nation_partial, batch_format="pyarrow"),
-        "n_nationkey", Sum("_rev", alias_name="revenue_e4"),
+        per_cust, "n_nationkey", Sum("_rev", alias_name="revenue_e4"),
         Sum("_n", alias_name="n_orders")).to_pandas()
 
     # 25-nation / 5-region dims: driver maps, no join machinery
-    import pandas as pd
     import pyarrow.parquet as pq
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_regionkey"]).to_pandas()
@@ -2304,28 +2144,16 @@ def cell_join_customer_orders_bucketed(sf_dir: str, res: int = 3,
     many queries join on one cluster key."""
     import os
 
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
     from ..ops.bucketed import bucketed_join, write_bucketed
 
-    def counts(key_col, alias):
-        def kernel(b: pa.Table) -> pa.Table:
-            cells = _with_cells(b, key_col, res)
-            g = cells.select(["cellid"]).group_by("cellid") \
-                     .aggregate([([], "count_all")])
-            return g.rename_columns(["cellid", alias])
-        return kernel
-
     sf = _sf_of(sf_dir)
     root = f"/tmp/dggsray_cache/bucketed_sf{sf}_res{res}"
-    cc = sized_groupby(
-        _read(sf_dir, "customer", ["c_custkey"])
-        .map_batches(counts("c_custkey", "nc"), batch_format="pyarrow"),
-        "cellid", Sum("nc", alias_name="nc"))
-    oc = sized_groupby(
-        _read(sf_dir, "orders", ["o_orderkey"])
-        .map_batches(counts("o_orderkey", "no"), batch_format="pyarrow"),
-        "cellid", Sum("no", alias_name="no"))
+    cc = sized_groupby(_cell_rows(sf_dir, "customer", "c_custkey", res),
+                       "cellid", Count(alias_name="nc"))
+    oc = sized_groupby(_cell_rows(sf_dir, "orders", "o_orderkey", res),
+                       "cellid", Count(alias_name="no"))
     pa_dir = write_bucketed(cc, "cellid", n_buckets,
                             os.path.join(root, "cust"))
     pb_dir = write_bucketed(oc, "cellid", n_buckets,
@@ -2412,18 +2240,17 @@ def lineitem_q6_revenue(sf_dir: str):
 def docs_bigram_topk(sf_dir: str, k: int = 30):
     """Corpus collocations: the k most frequent adjacent word PAIRS — the
     phrase-mining counterpart of docs_vocab_topk (and the statistic behind
-    PMI phrase detection).  Combiner-first like every wide count here: each
-    batch forms its bigrams vectorized (flattened token array + list parent
-    indices; a pair exists where position i and i+1 share a parent) and
-    pre-counts them, the shuffle moves (distinct bigram x block) partials,
-    a keyed Sum merges, partial_topk picks winners without a global sort."""
-    from ray.data.aggregate import Sum
+    PMI phrase detection).  Each batch forms its bigrams vectorized
+    (flattened token array + list parent indices; a pair exists where
+    position i and i+1 share a parent), sized_groupby counts them, and
+    partial_topk picks winners without a global sort."""
+    from ray.data.aggregate import Count
 
     from ..ops.topk import partial_topk
 
     ds = _read(sf_dir, "documents", ["text"])
 
-    def counts(b: pa.Table) -> pa.Table:
+    def bigrams(b: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(b.column("text"), r"\s+")
         if isinstance(toks, pa.ChunkedArray):
             toks = toks.combine_chunks()
@@ -2433,19 +2260,15 @@ def docs_bigram_topk(sf_dir: str, k: int = 30):
         flat = flat.filter(pa.array(keep))
         parent = parent[keep]
         if len(flat) < 2:
-            return pa.table({"bigram": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        adj = parent[1:] == parent[:-1]
-        idx = np.flatnonzero(adj)
+            return pa.table({"bigram": pa.array([], pa.string())})
+        idx = np.flatnonzero(parent[1:] == parent[:-1])
         left = flat.take(pa.array(idx))
         right = flat.take(pa.array(idx + 1))
-        bi = pc.binary_join_element_wise(left, right, " ")
-        vc = bi.value_counts()
-        return pa.table({"bigram": vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
+        return pa.table({"bigram": pc.binary_join_element_wise(left, right,
+                                                               " ")})
 
-    tot = sized_groupby(ds.map_batches(counts, batch_format="pyarrow"),
-                        "bigram", Sum("n", alias_name="n"))
+    tot = sized_groupby(ds.map_batches(bigrams, batch_format="pyarrow"),
+                        "bigram", Count(alias_name="n"))
     return partial_topk(tot, ["n", "bigram"], [True, False], k)
 
 
@@ -2460,10 +2283,10 @@ def docs_duplicate_spans(sf_dir: str, w: int = 8):
     Fully vectorized: one flattened token array per batch, windows exist
     where position i and i+w-1 share a list parent, the w-way
     binary_join_element_wise builds all window strings at once (the only
-    Python loop is over w).  Shuffles move DISTINCT (doc, window) pairs and
-    (window, count) partials — bounded by distinct-window volume, never
-    corpus length.  Output: (doc_id, n_windows, n_dup_windows) for docs
-    with >= w tokens.
+    Python loop is over w).  sized_groupby takes the distinct (doc, window)
+    pairs and counts docs per window; what crosses tasks is bounded by
+    distinct-window volume, never corpus length.  Output: (doc_id,
+    n_windows, n_dup_windows) for docs with >= w tokens.
 
     Scale note: the shuffle key here is the window STRING (exact, matches
     the SQL oracle byte-for-byte).  At trillions of windows, key bytes
@@ -2494,30 +2317,21 @@ def docs_duplicate_spans(sf_dir: str, w: int = 8):
                              == parent[w - 1:])
         parts = [flat.take(pa.array(idx + k)) for k in range(w)]
         win = pc.binary_join_element_wise(*parts, " ")
-        t = pa.table({"doc_id": pa.array(ids[parent[idx]].astype(np.int64)),
-                      "win": win})
-        # batch-local distinct: every doc lives in one batch, so this IS
-        # the per-doc distinct — the groupby below only dedups block seams
-        g = t.group_by(["doc_id", "win"]).aggregate([([], "count_all")])
-        return g.select(["doc_id", "win"])
+        return pa.table({"doc_id": pa.array(ids[parent[idx]].astype(np.int64)),
+                         "win": win})
 
     pairs = sized_groupby(ds.map_batches(wins, batch_format="pyarrow"),
-                          ["doc_id", "win"],
-                          Count(alias_name="_c")) \
-        .drop_columns(["_c"]).materialize()
+                          ["doc_id", "win"]).materialize()
     counts = sized_groupby(pairs, "win", Count(alias_name="nd"))
     joined = adaptive_join(pairs, counts, on="win")
 
-    def partial(b: pa.Table) -> pa.Table:
-        nd = b.column("nd").to_numpy()
-        t = pa.table({"doc_id": b.column("doc_id"),
-                      "_n": pa.array(np.ones(b.num_rows, np.int64)),
-                      "_d": pa.array((nd >= 2).astype(np.int64))})
-        g = t.group_by("doc_id").aggregate([("_n", "sum"), ("_d", "sum")])
-        return g.rename_columns(["doc_id", "_n", "_d"])
+    def dup(b: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": b.column("doc_id"),
+                         "_d": pc.cast(pc.greater_equal(b.column("nd"), 2),
+                                       pa.int64())})
 
-    out = sized_groupby(joined.map_batches(partial, batch_format="pyarrow"),
-                        "doc_id", Sum("_n", alias_name="_n"),
+    out = sized_groupby(joined.map_batches(dup, batch_format="pyarrow"),
+                        "doc_id", Count(alias_name="_n"),
                         Sum("_d", alias_name="_d"))
     return out.map_batches(
         lambda b: pa.table({
@@ -2568,46 +2382,33 @@ def cell_rollup_customer(sf_dir: str, res_fine: int = 4, res_min: int = 1):
     """Multi-resolution cell pyramid in ONE pass — the OLAP rollup of the
     DGGS hierarchy (tile servers and multi-scale analyses need every level,
     and re-scanning the fact table per level is the naive mistake): encode
-    once at res_fine, aggregate per batch at the fine level, then derive
-    every coarser level's partials FROM the fine partials (a parent is a
-    prefix truncate — combiners compose up the hierarchy), and one
-    (res, cell) groupby finalizes all levels together.  The shuffle moves
-    sum-of-levels partials, still bounded by (cells x blocks); the input is
-    scanned exactly once.  Output: (res, cell, bal_cents, n_customers)."""
-    from ray.data.aggregate import Sum
+    once at res_fine, emit each row once per level with its parent cell
+    (a parent is a prefix truncate), and one (res, cell) sized_groupby
+    finalizes all levels together.  The input is scanned exactly once.
+    Output: (res, cell, bal_cents, n_customers)."""
+    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
+    levels = range(res_min, res_fine + 1)
 
     def kernel(b: pa.Table) -> pa.Table:
         keys = b.column("c_custkey").to_numpy()
         lon, lat = derived_lonlat(keys)
-        cells = cells_from_lonlat(res_fine, lon, lat, DEFAULT_GRID)
+        cells = pa.array(cells_from_lonlat(res_fine, lon, lat, DEFAULT_GRID),
+                         pa.string())
         cents = np.rint(b.column("c_acctbal").to_numpy() * 100) \
             .astype(np.int64)
-        fine = pa.table({"cell": pa.array(cells, pa.string()),
-                         "cents": pa.array(cents)}) \
-            .group_by("cell").aggregate([("cents", "sum"),
-                                         ([], "count_all")]) \
-            .rename_columns(["cell", "_ps", "_pc"])
-        outs = []
-        cell_arr = fine.column("cell")
-        for r in range(res_min, res_fine + 1):
-            # parent at res r = first r+1 chars (face + r digits)
-            trunc = pc.utf8_slice_codeunits(cell_arr, 0, r + 1)
-            lvl = pa.table({"res": pa.array(
-                np.full(fine.num_rows, r, np.int64)),
-                "cell": trunc,
-                "_ps": fine.column("_ps"), "_pc": fine.column("_pc")}) \
-                .group_by(["res", "cell"]) \
-                .aggregate([("_ps", "sum"), ("_pc", "sum")]) \
-                .rename_columns(["res", "cell", "_ps", "_pc"])
-            outs.append(lvl)
-        return pa.concat_tables(outs).combine_chunks()
+        # parent at res r = first r+1 chars (face + r digits)
+        return pa.table({
+            "res": pa.array(np.repeat(np.array(levels, np.int64), len(cells))),
+            "cell": pa.chunked_array([pc.utf8_slice_codeunits(cells, 0, r + 1)
+                                      for r in levels], pa.string()),
+            "cents": pa.array(np.tile(cents, len(levels)))})
 
     return sized_groupby(ds.map_batches(kernel, batch_format="pyarrow"),
                          ["res", "cell"],
-                         Sum("_ps", alias_name="bal_cents"),
-                         Sum("_pc", alias_name="n_customers"))
+                         Sum("cents", alias_name="bal_cents"),
+                         Count(alias_name="n_customers"))
 
 
 def shipping_priority_q3(sf_dir: str, segment: str = "BUILDING", k: int = 10):
@@ -2616,8 +2417,8 @@ def shipping_priority_q3(sf_dir: str, segment: str = "BUILDING", k: int = 10):
     (segment / order-date / ship-date predicates and column sets pushed into
     the parquet reads); the segment's customers ride an adaptive join
     (broadcast when measured-small, hash-shuffle above the cap); lineitem
-    collapses to per-order revenue partials inside each batch BEFORE its
-    shuffle; the top-k is partial per block, never a global sort.  Revenue
+    collapses to per-order revenue in one sized_groupby; the top-k is
+    partial per block, never a global sort.  Revenue
     in exact integer cents (floor(x*100+0.5), the oracle's arithmetic)."""
     import datetime
 
@@ -2657,18 +2458,15 @@ def shipping_priority_q3(sf_dir: str, segment: str = "BUILDING", k: int = 10):
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
         filter=pads.field("l_shipdate") > D)
 
-    def rev_partial(b: pa.Table) -> pa.Table:
+    def rev_rows(b: pa.Table) -> pa.Table:
         ep = b.column("l_extendedprice").to_numpy()
         d = b.column("l_discount").to_numpy()
         cents = np.floor(ep * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
-                                            pa.int64()),
-                      "_r": pa.array(cents)})
-        g = t.group_by("o_orderkey").aggregate([("_r", "sum")])
-        return g.rename_columns(["o_orderkey", "_r"])
+        return pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
+                                               pa.int64()),
+                         "_r": pa.array(cents)})
 
-    rev = sized_groupby(line.map_batches(rev_partial,
-                                         batch_format="pyarrow"),
+    rev = sized_groupby(line.map_batches(rev_rows, batch_format="pyarrow"),
                         "o_orderkey", Sum("_r", alias_name="revenue_cents"))
     joined = adaptive_join(rev, sel_orders, on="o_orderkey")
     return partial_topk(joined,
@@ -2679,56 +2477,46 @@ def shipping_priority_q3(sf_dir: str, segment: str = "BUILDING", k: int = 10):
 def events_cohort_retention(sf_dir: str):
     """Cohort retention — the week a user FIRST appears is their cohort;
     each (cohort_week, week_offset) cell counts users still active that
-    many weeks later.  The product-analytics staple that needs two passes
-    over user activity: (1) distinct (user, week) pairs built combiner-first
-    (the shuffle moves per-block distinct pairs, never events), materialized
-    ONCE and reused for both the per-user Min (cohort) and the activity
-    side; (2) cohorts meet activity in an adaptive join keyed on user_id.
+    many weeks later.  sized_groupby takes the distinct (user, week) pairs;
+    all weeks of a user leave it in one block, so each block finds its
+    users' cohort (first week) and offsets in place, and one more
+    sized_groupby counts users per (cohort, offset).
     Week truncation is ISO-Monday on both sides (Arrow floor_temporal ==
     DuckDB date_trunc('week')); offsets are exact integer week counts."""
-    from ray.data.aggregate import Count, Min, Sum
-
-    from ..ops.joins import adaptive_join
+    from ray.data.aggregate import Count
 
     WEEK_US = 7 * 86_400 * 1_000_000
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def pairs(b: pa.Table) -> pa.Table:
+    def weeks(b: pa.Table) -> pa.Table:
         wk = pc.cast(pc.cast(pc.floor_temporal(b.column("ts"), unit="week"),
                              pa.timestamp("us")), pa.int64())
-        t = pa.table({"user_id": pc.cast(b.column("user_id"), pa.int64()),
-                      "week_us": wk})
-        g = t.group_by(["user_id", "week_us"]).aggregate([([], "count_all")])
-        return g.select(["user_id", "week_us"])
+        return pa.table({"user_id": pc.cast(b.column("user_id"), pa.int64()),
+                         "week_us": wk})
 
-    activity = sized_groupby(ds.map_batches(pairs, batch_format="pyarrow"),
-                             ["user_id", "week_us"],
-                             Count(alias_name="_c")) \
-        .drop_columns(["_c"]).materialize()
-    cohorts = sized_groupby(activity, "user_id",
-                            Min("week_us", alias_name="cohort_week_us"))
-    joined = adaptive_join(activity, cohorts, on="user_id")
+    activity = sized_groupby(ds.map_batches(weeks, batch_format="pyarrow"),
+                             ["user_id", "week_us"])
 
     def cell(b: pa.Table) -> pa.Table:
-        wk = b.column("week_us").to_numpy()
-        co = b.column("cohort_week_us").to_numpy()
-        t = pa.table({"cohort_week_us": pa.array(co),
-                      "week_offset": pa.array((wk - co) // WEEK_US),
-                      "_n": pa.array(np.ones(b.num_rows, np.int64))})
-        g = t.group_by(["cohort_week_us", "week_offset"]) \
-            .aggregate([("_n", "sum")])
-        return g.rename_columns(["cohort_week_us", "week_offset", "_n"])
+        first = b.group_by("user_id").aggregate([("week_us", "min")])
+        j = b.join(first, "user_id")
+        co = j.column("week_us_min").to_numpy()
+        wk = j.column("week_us").to_numpy()
+        return pa.table({"cohort_week_us": pa.array(co, pa.int64()),
+                         "week_offset": pa.array((wk - co) // WEEK_US,
+                                                 pa.int64())})
 
-    return sized_groupby(joined.map_batches(cell, batch_format="pyarrow"),
+    return sized_groupby(activity.map_batches(cell, batch_format="pyarrow",
+                                              batch_size=None),
                          ["cohort_week_us", "week_offset"],
-                         Sum("_n", alias_name="n_users"))
+                         Count(alias_name="n_users"))
 
 
 def orders_delayed_by_priority(sf_dir: str):
     """TPC-H Q4 shape (order-priority checking): orders in a 6-month window
     that have AT LEAST ONE line shipped more than 90 days after the order
     date, counted per priority.  The EXISTS subquery decomposes into a
-    combiner-first per-order MAX(l_shipdate) (exists(ship > cutoff) ==
+    per-order MAX(l_shipdate) (exists(ship > cutoff) ==
     max(ship) > cutoff) met by an adaptive join — and because every
     qualifying order's cutoff is >= window_start + 90d, the lineitem scan
     itself is PRUNED to l_shipdate >= that bound (row groups skipped by
@@ -2737,7 +2525,7 @@ def orders_delayed_by_priority(sf_dir: str):
 
     import pyarrow.dataset as pads
     import ray.data as rd
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Count, Max
 
     from ..ops.joins import adaptive_join
 
@@ -2763,15 +2551,13 @@ def orders_delayed_by_priority(sf_dir: str):
         filter=pads.field("l_shipdate")
         >= D0 + datetime.timedelta(days=90))
 
-    def ship_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
-                                            pa.int64()),
-                      "_ship_us": pc.cast(pc.cast(b.column("l_shipdate"),
-                                                  pa.int64()), pa.int64())})
-        g = t.group_by("o_orderkey").aggregate([("_ship_us", "max")])
-        return g.rename_columns(["o_orderkey", "_ship_us"])
+    def ship_rows(b: pa.Table) -> pa.Table:
+        return pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
+                                               pa.int64()),
+                         "_ship_us": pc.cast(pc.cast(b.column("l_shipdate"),
+                                                     pa.int64()), pa.int64())})
 
-    max_ship = sized_groupby(line.map_batches(ship_partial,
+    max_ship = sized_groupby(line.map_batches(ship_rows,
                                               batch_format="pyarrow"),
                              "o_orderkey",
                              Max("_ship_us", alias_name="_ship_us"))
@@ -2782,13 +2568,11 @@ def orders_delayed_by_priority(sf_dir: str):
     def late(b: pa.Table) -> pa.Table:
         m = pc.greater(b.column("_ship_us"),
                        pc.add(b.column("_odate_us"), LATE_US))
-        t = b.filter(m)
-        return pa.table({"o_orderpriority": t.column("o_orderpriority"),
-                         "_n": pa.array(np.ones(t.num_rows, np.int64))})
+        return b.filter(m).select(["o_orderpriority"])
 
     return sized_groupby(joined.map_batches(late, batch_format="pyarrow"),
                          "o_orderpriority",
-                         Sum("_n", alias_name="order_count"))
+                         Count(alias_name="order_count"))
 
 
 def promo_revenue_q14(sf_dir: str):
@@ -2851,14 +2635,14 @@ def dormant_customers_by_nation(sf_dir: str,
     is the DISTINCT recently-active custkey set (bounded by the customer
     count, never the orders fact table), built from a scan pruned to the
     cutoff window and one column; the customer stream is filtered against
-    it with a vectorized membership probe and grouped combiner-first.
+    it with a vectorized membership probe and grouped by sized_groupby.
     Output: (c_nationkey, n_customers, bal_cents)."""
     import datetime
 
     import pyarrow.dataset as pads
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     D = datetime.datetime.fromisoformat(cutoff)
     active = rd.read_parquet(
@@ -2889,18 +2673,14 @@ def dormant_customers_by_nation(sf_dir: str,
         sub = b.filter(pa.array(~hit))
         cents = np.rint(sub.column("c_acctbal").to_numpy() * 100) \
             .astype(np.int64)
-        t = pa.table({"c_nationkey": pc.cast(sub.column("c_nationkey"),
-                                             pa.int64()),
-                      "_b": pa.array(cents),
-                      "_n": pa.array(np.ones(sub.num_rows, np.int64))})
-        g = t.group_by("c_nationkey").aggregate([("_b", "sum"),
-                                                 ("_n", "sum")])
-        return g.rename_columns(["c_nationkey", "_b", "_n"])
+        return pa.table({"c_nationkey": pc.cast(sub.column("c_nationkey"),
+                                                pa.int64()),
+                         "_b": pa.array(cents)})
 
     return sized_groupby(cust.map_batches(anti, batch_format="pyarrow"),
                          "c_nationkey",
                          Sum("_b", alias_name="bal_cents"),
-                         Sum("_n", alias_name="n_customers"))
+                         Count(alias_name="n_customers"))
 
 
 def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
@@ -2911,7 +2691,7 @@ def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
     parity: dggstools has no relational engine; engine-completeness row.
 
     Three stages, all dimension-bounded:
-    1. a combiner-first partial pass computes (sum_cents, n) over positive
+    1. a per-block partial pass computes (sum_cents, n) over positive
        balances; the global threshold is the exact rational sum/n — the
        filter compares cents * n > sum_cents in INTEGER math, so the engine
        and the SQL oracle agree bit-for-bit with no float-average ulp risk;
@@ -2920,13 +2700,13 @@ def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
        orders fact table) is unioned from per-block uniques and broadcast
        once via ray.put;
     3. one customer-stream pass applies threshold filter + vectorized anti
-       probe + per-batch partial groupby, finished by a low-card groupby.
+       probe, and sized_groupby sums per segment.
     Output: (c_mktsegment, n_customers, bal_cents)."""
     import datetime
 
     import pyarrow.dataset as pads
     import ray
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     D = datetime.datetime.fromisoformat(cutoff)
     cust = _read(sf_dir, "customer",
@@ -2965,7 +2745,7 @@ def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
         or [np.zeros(0, np.int64)]))
     ref = ray.put(keys)
 
-    # stage 3: threshold filter + anti probe + partial groupby
+    # stage 3: threshold filter + anti probe
     def opportunity(b: pa.Table) -> pa.Table:
         ks = ray.get(ref)
         cents = np.rint(b.column("c_acctbal").to_numpy() * 100) \
@@ -2979,19 +2759,15 @@ def sales_opportunity_q22(sf_dir: str, cutoff: str = "2001-06-01"):
         else:
             hit = np.zeros(ck.size, dtype=bool)
         keep &= ~hit
-        sub = b.filter(pa.array(keep))
-        t = pa.table({"c_mktsegment": sub.column("c_mktsegment"),
-                      "_b": pa.array(cents[keep]),
-                      "_n": pa.array(np.ones(sub.num_rows, np.int64))})
-        g = t.group_by("c_mktsegment").aggregate([("_b", "sum"),
-                                                  ("_n", "sum")])
-        return g.rename_columns(["c_mktsegment", "_b", "_n"])
+        return pa.table({"c_mktsegment": b.column("c_mktsegment")
+                         .filter(pa.array(keep)),
+                         "_b": pa.array(cents[keep])})
 
     return sized_groupby(
         cust.map_batches(opportunity, batch_format="pyarrow"),
         "c_mktsegment",
         Sum("_b", alias_name="bal_cents"),
-        Sum("_n", alias_name="n_customers"))
+        Count(alias_name="n_customers"))
 
 
 # ---------------------------------------------------------------------------
@@ -3105,8 +2881,8 @@ def discount_revenue_q19(sf_dir: str):
     The part side is pruned to the branch unions BEFORE it moves (brand +
     size pushdown, 3 brands of 25), joined by measured size (adaptive_join:
     broadcast under the cap, hash shuffle above), then each batch evaluates
-    its branch's quantity window vectorized and folds revenue partials —
-    the final exchange is O(branches x blocks) rows."""
+    its branch's quantity window vectorized and sized_groupby sums revenue
+    per branch."""
     from ray.data.aggregate import Sum
 
     branches = [("Brand#1", 1, 10, 1, 15),
@@ -3137,7 +2913,7 @@ def discount_revenue_q19(sf_dir: str):
                                                 batch_format="pyarrow"),
                            on="l_partkey")
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         br = b.column("branch").to_numpy()
         qty = b.column("l_quantity").to_numpy()
         m = (qty >= q_lo[br]) & (qty <= q_hi[br])
@@ -3145,12 +2921,9 @@ def discount_revenue_q19(sf_dir: str):
         disc = b.column("l_discount").to_numpy()[m]
         rev = np.rint(price * 100).astype(np.int64) \
             * np.rint((1 - disc) * 100).astype(np.int64)
-        t = pa.table({"branch": pa.array(br[m]), "_r": pa.array(rev)})
-        g = t.group_by("branch").aggregate([("_r", "sum")])
-        return g.rename_columns(["branch", "_r"])
+        return pa.table({"branch": pa.array(br[m]), "_r": pa.array(rev)})
 
-    agg = sized_groupby(joined.map_batches(partial,
-                                             batch_format="pyarrow"),
+    agg = sized_groupby(joined.map_batches(rows, batch_format="pyarrow"),
                         "branch", Sum("_r", alias_name="revenue_e4"))
     import pandas as pd
     out = agg.to_pandas()                      # <= len(branches) rows
@@ -3169,8 +2942,7 @@ def volume_shipping_q7(sf_dir: str, nation_a: int = 1, nation_b: int = 2):
     dimension sides are pruned to the two nations BEFORE moving; lineitem
     joins the supplier map and the (orders x customer) nation map via
     adaptive_join (broadcast under the measured cap, hash shuffle above);
-    cross-nation filter + the (2 x 2 x years) grouped aggregate fold
-    combiner-first per batch."""
+    cross-nation filter per batch, then one (2 x 2 x years) sized_groupby."""
     from ray.data.aggregate import Sum
 
     from ..ops.joins import adaptive_join
@@ -3205,7 +2977,7 @@ def volume_shipping_q7(sf_dir: str, nation_a: int = 1, nation_b: int = 2):
     li = adaptive_join(li, supp, on="l_suppkey")
     joined = adaptive_join(li, omap, on="l_orderkey")
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         sn = b.column("supp_nationkey").to_numpy()
         cn = b.column("cust_nationkey").to_numpy()
         m = sn != cn
@@ -3216,12 +2988,9 @@ def volume_shipping_q7(sf_dir: str, nation_a: int = 1, nation_b: int = 2):
         rev = np.rint(price * 100).astype(np.int64) \
             * np.rint((1 - disc) * 100).astype(np.int64)
         key = sn[m] * 1_000_000 + cn[m] * 10_000 + yr  # packed low-card key
-        t = pa.table({"k": pa.array(key), "_r": pa.array(rev)})
-        g = t.group_by("k").aggregate([("_r", "sum")])
-        return g.rename_columns(["k", "_r"])
+        return pa.table({"k": pa.array(key), "_r": pa.array(rev)})
 
-    agg = sized_groupby(joined.map_batches(partial,
-                                             batch_format="pyarrow"),
+    agg = sized_groupby(joined.map_batches(rows, batch_format="pyarrow"),
                         "k", Sum("_r", alias_name="revenue_e4"))
     import pandas as pd
     out = agg.to_pandas()                      # 2 x 2 x years rows
@@ -3254,28 +3023,25 @@ def events_geofence_exact(sf_dir: str, res: int = 3):
     points at res 3).  The oracle replays the identical planar crossing
     test in SQL (dggsray.oracle.planar_xy_sql + the same vertex literals),
     so inside/outside is value-checked per event, not cover-approximate."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..ops.vector2dggs import PolygonProbe
 
     probe = PolygonProbe(_GEOFENCE_EXACT_RINGS, res)
     ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         keys = b.column("user_id").to_numpy()
         lon, lat = derived_lonlat(keys)
         inside = probe.contains_lonlat(lon, lat)
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"event_type": b.column("event_type").filter(
-                          pa.array(inside)),
-                      "cents": pa.array(cents[inside])})
-        g = t.group_by("event_type").aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["event_type", "_s", "_n"])
+        return pa.table({"event_type": b.column("event_type").filter(
+                             pa.array(inside)),
+                         "cents": pa.array(cents[inside])})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                         "event_type", Sum("_s", alias_name="value_cents"),
-                         Sum("_n", alias_name="n_events"))
+    return sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
+                         "event_type", Sum("cents", alias_name="value_cents"),
+                         Count(alias_name="n_events"))
 
 
 # three regions for the exact assignment query — region 2 overlaps region 1
@@ -3296,54 +3062,39 @@ def events_region_assign(sf_dir: str, res: int = 3):
     containing region (ops.vector2dggs.RegionAssigner — per-feature
     interior/boundary cell prefilter, even-odd refinement only in boundary
     cells, paint order = later feature wins on overlap, -1 outside), then
-    (region_id, event_type) counts and value cents aggregate combiner-first.
+    (region_id, event_type) counts and value cents aggregate in one
+    sized_groupby.
     The oracle replays per-feature crossing parities in one SQL scan over a
     feature-tagged edge table and applies the same paint-order CASE."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..ops.vector2dggs import RegionAssigner
 
     ra = RegionAssigner(_REGION_ASSIGN_FEATURES, res)
     ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         keys = b.column("user_id").to_numpy()
         lon, lat = derived_lonlat(keys)
         fid = ra.assign_lonlat(lon, lat)
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
-        t = pa.table({"region_id": pa.array(fid),
-                      "event_type": b.column("event_type"),
-                      "cents": pa.array(cents)})
-        g = t.group_by(["region_id", "event_type"]).aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["region_id", "event_type", "_s", "_n"])
+        return pa.table({"region_id": pa.array(fid, pa.int64()),
+                         "event_type": b.column("event_type"),
+                         "cents": pa.array(cents)})
 
-    def pack(b: pa.Table) -> pa.Table:
-        # single low-card composite key for the final fold
-        k = pc.binary_join_element_wise(
-            pc.cast(b.column("region_id"), pa.string()),
-            b.column("event_type"), "\x1f")
-        return pa.table({"k": k, "_s": b.column("_s"), "_n": b.column("_n")})
-
-    agg = sized_groupby(
-        ds.map_batches(partial, batch_format="pyarrow")
-          .map_batches(pack, batch_format="pyarrow"),
-        "k", Sum("_s", alias_name="value_cents"),
-        Sum("_n", alias_name="n_events"))
-    import pandas as pd
-    out = agg.to_pandas()
-    parts = out["k"].str.split("\x1f", expand=True)
-    out["region_id"] = parts[0].astype("int64")
-    out["event_type"] = parts[1]
-    return out[["region_id", "event_type", "value_cents", "n_events"]] \
+    agg = sized_groupby(ds.map_batches(rows, batch_format="pyarrow"),
+                        ["region_id", "event_type"],
+                        Sum("cents", alias_name="value_cents"),
+                        Count(alias_name="n_events"))
+    return agg.to_pandas() \
         .sort_values(["region_id", "event_type"]).reset_index(drop=True)
 
 
 def returned_item_revenue_q10(sf_dir: str, k: int = 20):
     """TPC-H Q10 shape: revenue lost to returned items per customer, top-k.
-    Returnflag filter + per-order revenue partials fold inside the lineitem
-    scan; the order->customer key map joins by measured size
-    (adaptive_join); per-customer revenue re-aggregates combiner-first; the
+    Returnflag filter in the lineitem scan, then per-order revenue; the
+    order->customer key map joins by measured size (adaptive_join);
+    per-customer revenue re-aggregates; the
     k winners (tiny) become a broadcast is_in filter over the customer scan
     so no side is shuffled for the detail join."""
     from ray.data.aggregate import Sum
@@ -3355,21 +3106,18 @@ def returned_item_revenue_q10(sf_dir: str, k: int = 20):
                ["l_orderkey", "l_extendedprice", "l_discount",
                 "l_returnflag"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         m = pc.equal(b.column("l_returnflag"), "R")
         sub = b.filter(m)
         price = sub.column("l_extendedprice").to_numpy()
         disc = sub.column("l_discount").to_numpy()
         rev = np.rint(price * 100).astype(np.int64) \
             * np.rint((1 - disc) * 100).astype(np.int64)
-        t = pa.table({"l_orderkey": pc.cast(sub.column("l_orderkey"),
-                                            pa.int64()),
-                      "_r": pa.array(rev)})
-        g = t.group_by("l_orderkey").aggregate([("_r", "sum")])
-        return g.rename_columns(["l_orderkey", "_r"])
+        return pa.table({"l_orderkey": pc.cast(sub.column("l_orderkey"),
+                                               pa.int64()),
+                         "_r": pa.array(rev)})
 
-    per_order = sized_groupby(li.map_batches(partial,
-                                             batch_format="pyarrow"),
+    per_order = sized_groupby(li.map_batches(rows, batch_format="pyarrow"),
                               "l_orderkey", Sum("_r", alias_name="_r"))
     omap = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]) \
         .map_batches(lambda b: pa.table({
@@ -3377,16 +3125,8 @@ def returned_item_revenue_q10(sf_dir: str, k: int = 20):
             "c_custkey": pc.cast(b.column("o_custkey"), pa.int64())}),
             batch_format="pyarrow")
     joined = adaptive_join(per_order, omap, on="l_orderkey")
-
-    def cust_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"c_custkey": b.column("c_custkey"),
-                      "_r": b.column("_r")})
-        g = t.group_by("c_custkey").aggregate([("_r", "sum")])
-        return g.rename_columns(["c_custkey", "_r"])
-
-    per_cust = sized_groupby(joined.map_batches(cust_partial,
-                                                batch_format="pyarrow"),
-                             "c_custkey", Sum("_r", alias_name="revenue_e4"))
+    per_cust = sized_groupby(joined, "c_custkey",
+                             Sum("_r", alias_name="revenue_e4"))
     top = partial_topk(per_cust, ["revenue_e4", "c_custkey"],
                        [True, False], k).to_pandas()
     keyset = pa.array(top["c_custkey"].to_numpy(), pa.int64())
@@ -3405,9 +3145,9 @@ def returned_item_revenue_q10(sf_dir: str, k: int = 20):
 def large_quantity_orders_q18(sf_dir: str, min_qty: int = 300,
                               k: int = 100):
     """TPC-H Q18 shape: orders whose total line quantity exceeds min_qty.
-    Quantity partials fold per order inside the scan, the (small, measured)
-    winner set joins orders via adaptive_join, and the top-k by total price
-    avoids a global sort."""
+    sized_groupby sums quantity per order, the (small, measured) winner set
+    joins orders via adaptive_join, and the top-k by total price avoids a
+    global sort."""
     from ray.data.aggregate import Sum
 
     from ..ops.joins import adaptive_join
@@ -3415,17 +3155,14 @@ def large_quantity_orders_q18(sf_dir: str, min_qty: int = 300,
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
-                                            pa.int64()),
-                      "_q": pa.array(np.rint(
-                          b.column("l_quantity").to_numpy())
-                          .astype(np.int64))})
-        g = t.group_by("o_orderkey").aggregate([("_q", "sum")])
-        return g.rename_columns(["o_orderkey", "_q"])
+    def rows(b: pa.Table) -> pa.Table:
+        return pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
+                                               pa.int64()),
+                         "_q": pa.array(np.rint(
+                             b.column("l_quantity").to_numpy())
+                             .astype(np.int64))})
 
-    per_order = sized_groupby(li.map_batches(partial,
-                                             batch_format="pyarrow"),
+    per_order = sized_groupby(li.map_batches(rows, batch_format="pyarrow"),
                               "o_orderkey", Sum("_q", alias_name="total_qty"))
     winners = per_order.map_batches(
         lambda b: b.filter(pc.greater(b.column("total_qty"), min_qty)),
@@ -3454,33 +3191,18 @@ def large_quantity_orders_q18(sf_dir: str, min_qty: int = 300,
 def customer_order_counts_q13(sf_dir: str):
     """TPC-H Q13 shape (customer order-count distribution): histogram of
     customers by how many orders they placed, INCLUDING the zero-order
-    bucket of the LEFT OUTER join.  No join materializes: per-customer
-    order counts fold combiner-first inside the orders scan (bounded by
-    #customers, not #orders), the histogram is a second tiny groupby over
-    those counts, and the zero bucket is #customers minus #customers seen
-    in orders — outer-join semantics from two aggregates and one scalar.
+    bucket of the LEFT OUTER join.  No join materializes: sized_groupby
+    counts orders per customer (its output is bounded by #customers, not
+    #orders), a second one histograms those counts, and the zero bucket is
+    #customers minus #customers seen in orders — outer-join semantics from
+    two aggregates and one scalar.
     Output: (c_count, custdist)."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count
 
     orders = _read(sf_dir, "orders", ["o_custkey"])
-
-    def per_cust(b: pa.Table) -> pa.Table:
-        t = pa.table({"c": pc.cast(b.column("o_custkey"), pa.int64())})
-        g = t.group_by("c").aggregate([([], "count_all")])
-        return g.rename_columns(["c", "_n"])
-
-    counts = sized_groupby(orders.map_batches(per_cust,
-                                              batch_format="pyarrow"),
-                           "c", Sum("_n", alias_name="c_count"))
-
-    def hist(b: pa.Table) -> pa.Table:
-        t = pa.table({"c_count": b.column("c_count")})
-        g = t.group_by("c_count").aggregate([([], "count_all")])
-        return g.rename_columns(["c_count", "_d"])
-
-    out = sized_groupby(counts.map_batches(hist, batch_format="pyarrow"),
-                        "c_count",
-                        Sum("_d", alias_name="custdist")).to_pandas()
+    counts = sized_groupby(orders, "o_custkey", Count(alias_name="c_count"))
+    out = sized_groupby(counts, "c_count",
+                        Count(alias_name="custdist")).to_pandas()
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()
     zero = n_cust - int(out["custdist"].sum())
     if zero > 0:
@@ -3497,8 +3219,8 @@ def top_supplier_q15(sf_dir: str, start: str = "1996-01-01",
                      end: str = "1996-04-01"):
     """TPC-H Q15 shape (top supplier): revenue per supplier over one
     quarter, then the supplier(s) achieving the maximum — the
-    aggregate-then-argmax-then-detail-join chain.  Revenue partials fold
-    per suppkey inside the pruned lineitem scan (bounded by #suppliers);
+    aggregate-then-argmax-then-detail-join chain.  Revenue sums per
+    suppkey over the pruned lineitem scan (bounded by #suppliers);
     the max and the winner filter run on that small table; winner names
     come from a broadcast is_in probe of the supplier scan, so nothing
     shuffles.  Output: (s_suppkey, s_name, total_revenue_e4)."""
@@ -3516,19 +3238,16 @@ def top_supplier_q15(sf_dir: str, start: str = "1996-01-01",
         filter=(pads.field("l_shipdate") >= D0)
         & (pads.field("l_shipdate") < D1))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         rev = np.rint(b.column("l_extendedprice").to_numpy() * 100) \
             .astype(np.int64) \
             * np.rint((1 - b.column("l_discount").to_numpy()) * 100) \
             .astype(np.int64)
-        t = pa.table({"s_suppkey": pc.cast(b.column("l_suppkey"),
-                                           pa.int64()),
-                      "_r": pa.array(rev)})
-        g = t.group_by("s_suppkey").aggregate([("_r", "sum")])
-        return g.rename_columns(["s_suppkey", "_r"])
+        return pa.table({"s_suppkey": pc.cast(b.column("l_suppkey"),
+                                              pa.int64()),
+                         "_r": pa.array(rev)})
 
-    per_supp = sized_groupby(li.map_batches(partial,
-                                            batch_format="pyarrow"),
+    per_supp = sized_groupby(li.map_batches(rows, batch_format="pyarrow"),
                              "s_suppkey",
                              Sum("_r", alias_name="total_revenue_e4")) \
         .to_pandas()
@@ -3549,12 +3268,12 @@ def small_quantity_revenue_q17(sf_dir: str, brand: str = "Brand#1"):
     """TPC-H Q17 shape (small-quantity order revenue): among one brand's
     parts, revenue from lines whose quantity is under 20% of that part's
     average line quantity.  The brand's partkeys broadcast as an is_in
-    probe; per-part (sum_qty, n_lines) folds combiner-first in the first
-    pruned scan (bounded by the brand's part count); the threshold test
+    probe; per-part (sum_qty, n_lines) sums over the first pruned scan
+    (bounded by the brand's part count); the threshold test
     runs EXACT in integers on the second scan — qty < sum/(5*n) iff
     5*qty*n < sum — so engine and oracle can never diverge on float
     rounding.  Output one row: (total_cents, avg_yearly_cents)."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     import ray
 
@@ -3575,16 +3294,14 @@ def small_quantity_revenue_q17(sf_dir: str, brand: str = "Brand#1"):
         hit = (pk < bm.size) & bm[np.minimum(pk, max(bm.size - 1, 0))] \
             if bm.size else np.zeros(pk.size, dtype=bool)
         sub = b.filter(pa.array(hit))
-        t = pa.table({"p": pc.cast(sub.column("l_partkey"), pa.int64()),
-                      "_q": pa.array(np.rint(
-                          sub.column("l_quantity").to_numpy())
-                          .astype(np.int64))})
-        g = t.group_by("p").aggregate([("_q", "sum"), ([], "count_all")])
-        return g.rename_columns(["p", "_q", "_n"])
+        return pa.table({"p": pc.cast(sub.column("l_partkey"), pa.int64()),
+                         "_q": pa.array(np.rint(
+                             sub.column("l_quantity").to_numpy())
+                             .astype(np.int64))})
 
     per_part = sized_groupby(li.map_batches(stats, batch_format="pyarrow"),
                              "p", Sum("_q", alias_name="sq"),
-                             Sum("_n", alias_name="n")).to_pandas()
+                             Count(alias_name="n")).to_pandas()
     has_rows = len(per_part) and "p" in per_part.columns
     npk = int(per_part.p.max()) + 1 if has_rows else 1
     sumq = np.zeros(npk, dtype=np.int64)
@@ -3623,7 +3340,7 @@ def market_share_q8(sf_dir: str, region: int = 3, supp_nation: int = 7,
     (partkey->is_type, custkey->in_region via the nation->region map,
     suppkey->is_nation); the only wide step is lineitem->orders on
     orderkey, done AFTER lineitem folds to per-order (rev_total,
-    rev_nation) partials — the join input is bounded by #orders, not
+    rev_nation) sums — the join input is bounded by #orders, not
     #lineitems.  Output: (o_year, nation_e4, total_e4, share_permille)."""
     import ray
     from ray.data.aggregate import Sum
@@ -3668,13 +3385,10 @@ def market_share_q8(sf_dir: str, region: int = 3, supp_nation: int = 7,
             * np.rint((1 - sub.column("l_discount").to_numpy()) * 100) \
             .astype(np.int64)
         nat = (sk < isn.size) & isn[np.minimum(sk, isn.size - 1)]
-        t = pa.table({"o_orderkey": pc.cast(sub.column("l_orderkey"),
-                                            pa.int64()),
-                      "_t": pa.array(rev),
-                      "_n": pa.array(np.where(nat, rev, 0))})
-        g = t.group_by("o_orderkey").aggregate([("_t", "sum"),
-                                                ("_n", "sum")])
-        return g.rename_columns(["o_orderkey", "_t", "_n"])
+        return pa.table({"o_orderkey": pc.cast(sub.column("l_orderkey"),
+                                               pa.int64()),
+                         "_t": pa.array(rev),
+                         "_n": pa.array(np.where(nat, rev, 0))})
 
     per_o = sized_groupby(li.map_batches(per_order,
                                          batch_format="pyarrow"),
@@ -3699,15 +3413,7 @@ def market_share_q8(sf_dir: str, region: int = 3, supp_nation: int = 7,
                                             batch_format="pyarrow"),
                            on="o_orderkey")
 
-    def year_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"o_year": b.column("o_year"),
-                      "_t": b.column("_t"), "_n": b.column("_n")})
-        g = t.group_by("o_year").aggregate([("_t", "sum"), ("_n", "sum")])
-        return g.rename_columns(["o_year", "_t", "_n"])
-
-    out = sized_groupby(joined.map_batches(year_partial,
-                                             batch_format="pyarrow"),
-                        "o_year", Sum("_t", alias_name="total_e4"),
+    out = sized_groupby(joined, "o_year", Sum("_t", alias_name="total_e4"),
                         Sum("_n", alias_name="nation_e4")).to_pandas()
     out["share_permille"] = (out.nation_e4 * 1000
                              // out.total_e4.clip(lower=1)).astype("int64")
@@ -3721,55 +3427,39 @@ def last_shipper_blame_q21(sf_dir: str, k: int = 20):
     the order waiting' is realized as 'SOLE last shipper of a
     multi-supplier order' — the supplier whose latest line shipped
     strictly after every other supplier's in that order.  Same
-    exists/not-exists join shape as Q21, expressed as three combiner-first
-    reductions and one keyed join: (order,supplier)->max shipdate partials
-    fold in the scan; per-order (latest, #suppliers) folds over THAT
-    (bounded by distinct pairs); the join-back + uniqueness filter blames
-    exactly one supplier per qualifying order.  Output: (s_suppkey,
+    exists/not-exists shape as Q21: sized_groupby takes each
+    (order, supplier)'s latest shipdate, and since all suppliers of an
+    order leave it in one block, each block finds its multi-supplier
+    orders' latest shipdate and blames the sole supplier that shipped then;
+    a second sized_groupby counts blames per supplier.  Output: (s_suppkey,
     s_name, numwait), top-k by numwait."""
-    from ray.data.aggregate import Count, Max, Min, Sum
+    from ray.data.aggregate import Count, Max
 
-    from ..ops.joins import adaptive_join
     from ..ops.topk import partial_topk
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate"])
 
-    def pair_partial(b: pa.Table) -> pa.Table:
-        days = pc.cast(b.column("l_shipdate"), pa.int64())
-        t = pa.table({"o": pc.cast(b.column("l_orderkey"), pa.int64()),
-                      "s": pc.cast(b.column("l_suppkey"), pa.int64()),
-                      "_d": days})
-        g = t.group_by(["o", "s"]).aggregate([("_d", "max")])
-        return g.rename_columns(["o", "s", "_d"])
+    def pair_rows(b: pa.Table) -> pa.Table:
+        return pa.table({"o": pc.cast(b.column("l_orderkey"), pa.int64()),
+                         "s": pc.cast(b.column("l_suppkey"), pa.int64()),
+                         "_d": pc.cast(b.column("l_shipdate"), pa.int64())})
 
-    pairs = sized_groupby(li.map_batches(pair_partial,
-                                         batch_format="pyarrow"),
+    pairs = sized_groupby(li.map_batches(pair_rows, batch_format="pyarrow"),
                           ["o", "s"], Max("_d", alias_name="maxd"))
 
-    pero = sized_groupby(pairs, "o", Max("maxd", alias_name="lastd"),
-                         Count(alias_name="n_supp"))
-    multi = pero.map_batches(
-        lambda b: b.filter(pc.greater_equal(b.column("n_supp"), 2)),
-        batch_format="pyarrow")
-    joined = adaptive_join(pairs, multi, on="o")
-    at_max = joined.map_batches(
-        lambda b: b.filter(pc.equal(b.column("maxd"),
-                                    b.column("lastd"))),
-        batch_format="pyarrow")
-    sole = sized_groupby(at_max, "o", Count(alias_name="n_at_max"),
-                         Min("s", alias_name="s")) \
-        .map_batches(lambda b: b.filter(pc.equal(b.column("n_at_max"), 1)),
-                     batch_format="pyarrow")
+    def sole_last(b: pa.Table) -> pa.Table:
+        per_o = b.group_by("o").aggregate([("maxd", "max"), ([], "count_all")])
+        multi = per_o.filter(pc.greater_equal(per_o.column("count_all"), 2))
+        j = b.join(multi.select(["o", "maxd_max"]), "o", join_type="inner")
+        at_max = j.filter(pc.equal(j.column("maxd"), j.column("maxd_max")))
+        g = at_max.group_by("o").aggregate([("s", "min"), ([], "count_all")])
+        return pa.table({"s_suppkey": g.filter(
+            pc.equal(g.column("count_all"), 1)).column("s_min")})
 
-    def blame_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"s_suppkey": b.column("s")})
-        g = t.group_by("s_suppkey").aggregate([([], "count_all")])
-        return g.rename_columns(["s_suppkey", "_n"])
-
-    blame = sized_groupby(sole.map_batches(blame_partial,
-                                           batch_format="pyarrow"),
-                          "s_suppkey", Sum("_n", alias_name="numwait"))
+    blame = sized_groupby(pairs.map_batches(sole_last, batch_format="pyarrow",
+                                            batch_size=None),
+                          "s_suppkey", Count(alias_name="numwait"))
     top = partial_topk(blame, ["numwait", "s_suppkey"], [True, False],
                        k).to_pandas()
     keyset = pa.array(top["s_suppkey"].to_numpy(), pa.int64())
@@ -3819,7 +3509,7 @@ def local_supplier_volume_q5(sf_dir: str, region: int = 1,
     for orders placed in one year, grouped by nation.  The supplier map
     (suppkey -> nationkey, -1 outside the region) broadcasts once via
     ray.put; lineitem folds to per-(orderkey, supp_nation) revenue
-    partials INSIDE the scan — the only wide step joins those partials
+    sums — the only wide step joins those sums
     (bounded by #orders x region-nation count, never #lineitems) to the
     year-pruned (orderkey -> cust_nation) map.  Output: (n_nationkey,
     n_name, revenue_e4) revenue-descending, int-cents^2 exact."""
@@ -3870,13 +3560,10 @@ def local_supplier_volume_q5(sf_dir: str, region: int = 1,
             .astype(np.int64) \
             * np.rint((1 - sub.column("l_discount").to_numpy()) * 100) \
             .astype(np.int64)
-        t = pa.table({"o_orderkey": pc.cast(sub.column("l_orderkey"),
-                                            pa.int64()),
-                      "supp_nation": pa.array(sn[keep]),
-                      "_r": pa.array(rev)})
-        g = t.group_by(["o_orderkey", "supp_nation"]).aggregate(
-            [("_r", "sum")])
-        return g.rename_columns(["o_orderkey", "supp_nation", "_r"])
+        return pa.table({"o_orderkey": pc.cast(sub.column("l_orderkey"),
+                                               pa.int64()),
+                         "supp_nation": pa.array(sn[keep]),
+                         "_r": pa.array(rev)})
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
@@ -3901,17 +3588,14 @@ def local_supplier_volume_q5(sf_dir: str, region: int = 1,
         .map_batches(order_dim, batch_format="pyarrow")
     joined = adaptive_join(per_os, omap, on="o_orderkey")
 
-    def local_partial(b: pa.Table) -> pa.Table:
-        m = pc.equal(b.column("supp_nation"), b.column("cust_nation"))
-        sub = b.filter(m)
-        t = pa.table({"n_nationkey": sub.column("supp_nation"),
-                      "_r": sub.column("_r")})
-        g = t.group_by("n_nationkey").aggregate([("_r", "sum")])
-        return g.rename_columns(["n_nationkey", "_r"])
+    def local(b: pa.Table) -> pa.Table:
+        sub = b.filter(pc.equal(b.column("supp_nation"),
+                                b.column("cust_nation")))
+        return pa.table({"n_nationkey": sub.column("supp_nation"),
+                         "_r": sub.column("_r")})
 
     import pandas as pd
-    out = sized_groupby(joined.map_batches(local_partial,
-                                             batch_format="pyarrow"),
+    out = sized_groupby(joined.map_batches(local, batch_format="pyarrow"),
                         "n_nationkey",
                         Sum("_r", alias_name="revenue_e4")).to_pandas()
     if "n_nationkey" not in out.columns:
@@ -3930,7 +3614,7 @@ def product_profit_q9(sf_dir: str, name_sub: str = "widget"):
     over lineitems of parts whose name contains `name_sub`.  Part
     membership and the supplier nation map broadcast once as bitmaps
     (ray.put); lineitem folds to per-(orderkey, supp_nation) integer
-    partials in the scan; the single wide step joins those to the
+    sums; the single wide step joins those to the
     (orderkey -> order year) map.  Output: (n_name, o_year, profit_e4),
     nation ascending / year descending (the Q9 sort)."""
     import ray
@@ -3967,13 +3651,10 @@ def product_profit_q9(sf_dir: str, name_sub: str = "widget"):
             .astype(np.int64) \
             * np.rint((1 - sub.column("l_discount").to_numpy()) * 100) \
             .astype(np.int64)
-        t = pa.table({"o_orderkey": pc.cast(sub.column("l_orderkey"),
-                                            pa.int64()),
-                      "supp_nation": pa.array(sn),
-                      "_r": pa.array(rev)})
-        g = t.group_by(["o_orderkey", "supp_nation"]).aggregate(
-            [("_r", "sum")])
-        return g.rename_columns(["o_orderkey", "supp_nation", "_r"])
+        return pa.table({"o_orderkey": pc.cast(sub.column("l_orderkey"),
+                                               pa.int64()),
+                         "supp_nation": pa.array(sn),
+                         "_r": pa.array(rev)})
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_partkey", "l_suppkey",
@@ -3990,17 +3671,14 @@ def product_profit_q9(sf_dir: str, name_sub: str = "widget"):
                               pa.int64())}), batch_format="pyarrow")
     joined = adaptive_join(per_os, omap, on="o_orderkey")
 
-    def year_partial(b: pa.Table) -> pa.Table:
+    def year_rows(b: pa.Table) -> pa.Table:
         key = pc.add(pc.multiply(b.column("supp_nation"),
                                  pa.scalar(10_000, pa.int64())),
                      b.column("o_year"))
-        t = pa.table({"k": key, "_r": b.column("_r")})
-        g = t.group_by("k").aggregate([("_r", "sum")])
-        return g.rename_columns(["k", "_r"])
+        return pa.table({"k": key, "_r": b.column("_r")})
 
     import pandas as pd
-    out = sized_groupby(joined.map_batches(year_partial,
-                                             batch_format="pyarrow"),
+    out = sized_groupby(joined.map_batches(year_rows, batch_format="pyarrow"),
                         "k", Sum("_r", alias_name="profit_e4")).to_pandas()
     if "k" not in out.columns:
         out = pd.DataFrame({"k": pd.Series([], dtype="int64"),
@@ -4062,31 +3740,27 @@ def shipping_latency_q12(sf_dir: str):
     l_shipdate: <0 / 0-29 / 30-89 / >=90), counting high-priority
     (1-URGENT, 2-HIGH) vs other orders' lines per bucket — Q12's
     conditional split aggregate.  Lineitem folds to per-(orderkey,
-    shipdate) counts in the scan (bounded by distinct pairs, cheaper than
-    raw lines), one adaptive join brings the order date + priority class,
-    then (bucket, class) partials fold combiner-first.  Output:
+    shipdate) counts (bounded by distinct pairs, cheaper than raw lines),
+    one adaptive join brings the order date + priority class, then one
+    sized_groupby sums per bucket.  Output:
     (latency_bucket, high_line_count, low_line_count)."""
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ..ops.joins import adaptive_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
-    def fold_pairs(b: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
-                                            pa.int64()),
-                      "ship_day": pc.cast(
-                          pc.floor_temporal(b.column("l_shipdate"),
-                                            unit="day"),
-                          pa.timestamp("us"))})
-        g = t.group_by(["o_orderkey", "ship_day"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["o_orderkey", "ship_day", "_n"])
+    def ship_days(b: pa.Table) -> pa.Table:
+        return pa.table({"o_orderkey": pc.cast(b.column("l_orderkey"),
+                                               pa.int64()),
+                         "ship_day": pc.cast(
+                             pc.floor_temporal(b.column("l_shipdate"),
+                                               unit="day"),
+                             pa.timestamp("us"))})
 
-    pairs = sized_groupby(li.map_batches(fold_pairs,
-                                         batch_format="pyarrow"),
+    pairs = sized_groupby(li.map_batches(ship_days, batch_format="pyarrow"),
                           ["o_orderkey", "ship_day"],
-                          Sum("_n", alias_name="_n"))
+                          Count(alias_name="_n"))
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"]) \
@@ -4103,7 +3777,7 @@ def shipping_latency_q12(sf_dir: str):
 
     _BUCKETS = ["early", "0-29d", "30-89d", "90d+"]
 
-    def bucket_partial(b: pa.Table) -> pa.Table:
+    def bucket_rows(b: pa.Table) -> pa.Table:
         days = (b.column("ship_day").to_numpy().astype("datetime64[D]")
                 - b.column("order_day").to_numpy().astype("datetime64[D]")) \
             .astype(np.int64)
@@ -4113,14 +3787,12 @@ def shipping_latency_q12(sf_dir: str):
         idx[days < 0] = 0
         hi = b.column("is_high").to_numpy(zero_copy_only=False)
         n = b.column("_n").to_numpy()
-        t = pa.table({"bidx": pa.array(idx),
-                      "_hi": pa.array(np.where(hi, n, 0)),
-                      "_lo": pa.array(np.where(hi, 0, n))})
-        g = t.group_by("bidx").aggregate([("_hi", "sum"), ("_lo", "sum")])
-        return g.rename_columns(["bidx", "_hi", "_lo"])
+        return pa.table({"bidx": pa.array(idx),
+                         "_hi": pa.array(np.where(hi, n, 0)),
+                         "_lo": pa.array(np.where(hi, 0, n))})
 
-    out = sized_groupby(joined.map_batches(bucket_partial,
-                                             batch_format="pyarrow"),
+    out = sized_groupby(joined.map_batches(bucket_rows,
+                                           batch_format="pyarrow"),
                         "bidx",
                         Sum("_hi", alias_name="high_line_count"),
                         Sum("_lo", alias_name="low_line_count")).to_pandas()
@@ -4193,8 +3865,8 @@ def docs_dedup_survivors(sf_dir: str):
     after clustering.  One shuffle, no join-back: the winner rides inside
     a lexicographic Min whose packed key "{1e9 - n_tokens:010d}|{doc_id:020d}"
     sorts max-tokens-then-min-id first (docs_dedup_exact's trick), and the
-    group size rides in a Sum.  Output: (doc_id, n_tokens, group_size)."""
-    from ray.data.aggregate import Min, Sum
+    group size is a Count.  Output: (doc_id, n_tokens, group_size)."""
+    from ray.data.aggregate import Count, Min
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -4207,12 +3879,11 @@ def docs_dedup_survivors(sf_dir: str):
         ids = b.column("doc_id").to_numpy()
         packed = [f"{10**9 - t:010d}|{i:020d}" for t, i in zip(n_tok, ids)]
         return pa.table({"norm": norm,
-                         "_packed": pa.array(packed, pa.string()),
-                         "_one": pa.array(np.ones(len(ids), np.int64))})
+                         "_packed": pa.array(packed, pa.string())})
 
     keep = sized_groupby(ds.map_batches(pack, batch_format="pyarrow"),
                          "norm", Min("_packed", alias_name="_win"),
-                         Sum("_one", alias_name="group_size"))
+                         Count(alias_name="group_size"))
 
     def unpack(b: pa.Table) -> pa.Table:
         win = b.column("_win").to_pylist()
@@ -4319,18 +3990,17 @@ def embed_semantic_dedup(sf_dir: str, tau_permille: int = 350):
 def events_user_argmax(sf_dir: str):
     """Per-user argmax (the grouped window shape SELECT-the-row-with-the-
     max-value): the winning event per user, ties broken to the SMALLEST
-    event_id.  One combiner-first shuffle: each block packs (cents,
-    inverted event_id) into one int64 — pk = cents * 2^40 + (2^40-1 -
-    event_id), exact because cents < 2^23 and event_id < 2^40 — takes
-    the per-block max per user, and a keyed Max aggregate finishes; the
-    winner unpacks WITHOUT a join-back.  Output: (user_id, max_cents,
+    event_id.  Each row packs (cents, inverted event_id) into one int64 —
+    pk = cents * 2^40 + (2^40-1 - event_id), exact because cents < 2^23
+    and event_id < 2^40 — and one keyed Max finishes; the winner unpacks
+    WITHOUT a join-back.  Output: (user_id, max_cents,
     event_id)."""
     from ray.data.aggregate import Max
 
     SHIFT = 1 << 40
     ds = _read(sf_dir, "events", ["user_id", "event_id", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def packed(b: pa.Table) -> pa.Table:
         cents = np.rint(b.column("value").to_numpy() * 100).astype(np.int64)
         eid = b.column("event_id").to_numpy().astype(np.int64)
         if cents.size and (int(cents.max()) >= 1 << 23
@@ -4338,12 +4008,10 @@ def events_user_argmax(sf_dir: str):
             raise ValueError("events_user_argmax packed-key domain "
                              "exceeded (cents < 2^23, event_id < 2^40)")
         pk = cents * SHIFT + (SHIFT - 1 - eid)
-        t = pa.table({"user_id": pc.cast(b.column("user_id"), pa.int64()),
-                      "_pk": pa.array(pk)})
-        g = t.group_by("user_id").aggregate([("_pk", "max")])
-        return g.rename_columns(["user_id", "_pk"])
+        return pa.table({"user_id": pc.cast(b.column("user_id"), pa.int64()),
+                         "_pk": pa.array(pk)})
 
-    agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
+    agg = sized_groupby(ds.map_batches(packed, batch_format="pyarrow"),
                         "user_id", Max("_pk", alias_name="_pk"))
 
     def unpack(b: pa.Table) -> pa.Table:
@@ -4359,60 +4027,49 @@ def events_user_argmax(sf_dir: str):
 def events_daily_active_users(sf_dir: str):
     """Exact daily-active-users: COUNT(DISTINCT user_id) per UTC day.
     Day key is integer epoch-days (floor(epoch_us / 86.4e9) — exact and
-    engine-portable).  Two combiner-first exchanges, both bounded by
-    DISTINCT (day, user) pairs, never event rows: per-block pair dedup
-    -> keyed dedup shuffle -> per-block day partials -> tiny day fold.
-    Output: (day, n_users)."""
-    from ray.data.aggregate import Count, Sum
-
+    engine-portable).  sized_groupby takes the distinct (day, user) pairs;
+    all pairs of a day leave it in one block, so one value_counts per
+    block counts them.  Output: (day, n_users)."""
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
-    def pairs(b: pa.Table) -> pa.Table:
+    def days(b: pa.Table) -> pa.Table:
         us = pc.cast(b.column("ts"), pa.int64()).to_numpy()
-        day = us // 86_400_000_000
-        t = pa.table({"day": pa.array(day),
-                      "user_id": pc.cast(b.column("user_id"), pa.int64())})
-        g = t.group_by(["day", "user_id"]).aggregate([([], "count_all")])
-        return g.select(["day", "user_id"])
+        return pa.table({"day": pa.array(us // 86_400_000_000),
+                         "user_id": b.column("user_id")})
 
-    distinct = sized_groupby(ds.map_batches(pairs, batch_format="pyarrow"),
-                             ["day", "user_id"],
-                             Count(alias_name="_n"))
+    pairs = sized_groupby(ds.map_batches(days, batch_format="pyarrow"),
+                          ["day", "user_id"])
 
-    def day_partial(b: pa.Table) -> pa.Table:
-        g = b.select(["day"]).group_by("day").aggregate([([], "count_all")])
-        return g.rename_columns(["day", "_u"])
+    def per_day(b: pa.Table) -> pa.Table:
+        vc = b.column("day").value_counts()
+        return pa.table({"day": vc.field("values"),
+                         "n_users": pc.cast(vc.field("counts"), pa.int64())})
 
-    return sized_groupby(
-        distinct.map_batches(day_partial, batch_format="pyarrow"),
-        "day", Sum("_u", alias_name="n_users"))
+    return pairs.map_batches(per_day, batch_format="pyarrow",
+                             batch_size=None)
 
 
 def embed_norm_buckets(sf_dir: str, bucket_width: int = 50_000):
     """Histogram of embedding L2 norms under the milli-unit integer
     contract: n2 = sum(w^2) with w = floor(x*1000 + 0.5) (exact int64),
     bucket = n2 // bucket_width.  Vectorized per batch (one stacked
-    square-sum, no per-row loop), combiner-first fold on the tiny bucket
+    square-sum, no per-row loop), one sized_groupby on the tiny bucket
     key.  Output: (bucket, n_vectors, min_vec_id)."""
-    from ray.data.aggregate import Min, Sum
+    from ray.data.aggregate import Count, Min
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def buckets(b: pa.Table) -> pa.Table:
         emb = np.stack(b.column("embedding").to_numpy(
             zero_copy_only=False))
         W = np.floor(emb.astype(np.float64) * 1000 + 0.5).astype(np.int64)
         n2 = (W * W).sum(axis=1)
-        t = pa.table({"bucket": pa.array(n2 // bucket_width),
-                      "vec_id": pc.cast(b.column("vec_id"), pa.int64()),
-                      "_one": pa.array(np.ones(len(n2), np.int64))})
-        g = t.group_by("bucket").aggregate([("_one", "sum"),
-                                            ("vec_id", "min")])
-        return g.rename_columns(["bucket", "_n", "_mv"])
+        return pa.table({"bucket": pa.array(n2 // bucket_width),
+                         "vec_id": pc.cast(b.column("vec_id"), pa.int64())})
 
-    return sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
-                         "bucket", Sum("_n", alias_name="n_vectors"),
-                         Min("_mv", alias_name="min_vec_id"))
+    return sized_groupby(ds.map_batches(buckets, batch_format="pyarrow"),
+                         "bucket", Count(alias_name="n_vectors"),
+                         Min("vec_id", alias_name="min_vec_id"))
 
 
 def cell_neighbor_smooth(sf_dir: str, res: int = 3):
@@ -4422,11 +4079,11 @@ def cell_neighbor_smooth(sf_dir: str, res: int = 3):
     count of the cell and of its 3x3 equatorial neighbourhood
     (horizontal wrap across the four equatorial faces; |lat| <= 35
     derived points sit > 1 cell from the polar edge for res >= 3, so no
-    vertical face crossing exists).  Combiner-first: per-block (gx, gy)
-    partials -> one keyed fold -> a 9-way neighbour scatter of the TINY
-    cell table -> keyed fold -> broadcast/hash join back to occupied
-    cells.  Output: (gx, gy, n_cell, n_neighborhood)."""
-    from ray.data.aggregate import Sum
+    vertical face crossing exists).  One (gx, gy) count -> a 9-way
+    neighbour scatter of the TINY cell table -> keyed sum ->
+    broadcast/hash join back to occupied cells.
+    Output: (gx, gy, n_cell, n_neighborhood)."""
+    from ray.data.aggregate import Count, Sum
 
     from ..core.rhpx import F, project_fwd
     from ..ops.joins import adaptive_join
@@ -4443,12 +4100,10 @@ def cell_neighbor_smooth(sf_dir: str, res: int = 3):
         x, y = project_fwd(lon, lat)
         gx = np.floor((x + 2 * F) / w).astype(np.int64)
         gy = np.floor((F / 2 - y) / w).astype(np.int64)
-        t = pa.table({"gx": pa.array(gx), "gy": pa.array(gy)})
-        g = t.group_by(["gx", "gy"]).aggregate([([], "count_all")])
-        return g.rename_columns(["gx", "gy", "_n"])
+        return pa.table({"gx": pa.array(gx), "gy": pa.array(gy)})
 
     cells = sized_groupby(ds.map_batches(pts, batch_format="pyarrow"),
-                          ["gx", "gy"], Sum("_n", alias_name="n_cell"))
+                          ["gx", "gy"], Count(alias_name="n_cell"))
 
     def scatter(b: pa.Table) -> pa.Table:
         gx = b.column("gx").to_numpy()
@@ -4462,10 +4117,8 @@ def cell_neighbor_smooth(sf_dir: str, res: int = 3):
                 nx = (gx[ok] + dx) % total
                 ks.append(nx * 65536 + ny[ok])
                 ns.append(n[ok])
-        t = pa.table({"key": pa.array(np.concatenate(ks)),
-                      "_s": pa.array(np.concatenate(ns))})
-        g = t.group_by("key").aggregate([("_s", "sum")])
-        return g.rename_columns(["key", "_s"])
+        return pa.table({"key": pa.array(np.concatenate(ks)),
+                         "_s": pa.array(np.concatenate(ns))})
 
     nb = sized_groupby(cells.map_batches(scatter, batch_format="pyarrow"),
                        "key", Sum("_s", alias_name="n_neighborhood"))
@@ -4492,7 +4145,7 @@ def embed_label_centroid_dist(sf_dir: str):
     deltas (<= (6e3)^2 * 64 per pair, int64-safe).  One combiner-first
     shuffle bounded by labels x dims; the pairwise step runs on the TINY
     (k, D) centroid matrix.  Output: (label_a, label_b, d2_milli)."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 

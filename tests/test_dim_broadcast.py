@@ -48,3 +48,30 @@ class TestDimDenseMap:
         exp = (np.arange(m.size) * 7) % 25
         exp = np.where(exp < 20, exp, -1)
         assert np.array_equal(m, exp)
+
+
+class TestSparseKeys:
+    def test_sparse_keys_raise(self, ray_session):
+        """A sparse or hashed key would make the driver allocate max(key)+1
+        entries; both builders refuse and point at adaptive_join."""
+        import pytest
+        import ray.data as rd
+        from dggsray.ops.joins import dim_dense_map, dim_flag_bitmap
+        ds = rd.from_arrow(pa.table({"k": pa.array([0, 2**40], pa.int64()),
+                                     "v": pa.array([1, 2], pa.int64())}))
+        with pytest.raises(ValueError, match="adaptive_join"):
+            dim_flag_bitmap(ds, "k", lambda b: np.ones(b.num_rows, bool))
+        with pytest.raises(ValueError, match="adaptive_join"):
+            dim_dense_map(ds, "k", lambda b: b.column("v").to_numpy())
+
+    def test_dense_keys_at_the_bound_pass(self, ray_session):
+        """Keys up to DENSE_KEYS_PER_ROW entries per row (above the floor)
+        still build."""
+        import ray.data as rd
+        from dggsray.ops.joins import (DENSE_KEYS_PER_ROW, DENSE_MIN_KEYS,
+                                       dim_flag_bitmap)
+        rows = DENSE_MIN_KEYS // DENSE_KEYS_PER_ROW + 1
+        keys = np.arange(rows, dtype=np.int64) * DENSE_KEYS_PER_ROW
+        ds = rd.from_arrow(pa.table({"k": pa.array(keys)}))
+        bm = dim_flag_bitmap(ds, "k", lambda b: np.ones(b.num_rows, bool))
+        assert bm.size == keys[-1] + 1 and int(bm.sum()) == rows

@@ -186,6 +186,52 @@ class TestSkewedGroupby:
         assert len(got) == 1000
 
 
+class TestAggregationSpec:
+    def test_other_aggregations_raise(self, ray_session):
+        """Only Sum, Min, Max and Count decompose into the per-block
+        partial; anything else fails loudly instead of taking a path
+        without the one-block-per-first-key output contract."""
+        import ray.data as rd
+        from ray.data.aggregate import Mean
+        from dggsray.ops.joins import sized_groupby
+
+        ds = rd.from_arrow(pa.table({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]}))
+        with pytest.raises(TypeError, match="Sum, Min, Max and Count"):
+            sized_groupby(ds, "k", Mean("v"))
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_distinct_keys_then_in_block_count(self, ray_session, parts):
+        """No aggregation gives the distinct key rows, and a per-block
+        value_counts of the first key over them is COUNT(DISTINCT second)
+        per first key: the chain shape of the distinct-user queries, over
+        one and several hash parts."""
+        import ray.data as rd
+        from dggsray.ops.joins import sized_groupby
+
+        rng = np.random.default_rng(parts)
+        n = 3000
+        t = pa.table({"a": rng.integers(0, 40, n), "b": rng.integers(0, 60, n)})
+        pieces = [t.slice(i, 750) for i in range(0, n, 750)]
+        partial_rows = sum(p.group_by(["a", "b"]).aggregate([]).num_rows
+                           for p in pieces)
+        pairs = sized_groupby(rd.from_arrow(pieces), ["a", "b"],
+                              single_block_rows=-(-partial_rows // parts))
+        assert len(pairs.to_arrow_refs()) == parts
+        assert pairs.count() == len(set(zip(t.column("a").to_pylist(),
+                                            t.column("b").to_pylist())))
+
+        def per_a(b: pa.Table) -> pa.Table:
+            vc = b.column("a").value_counts()
+            return pa.table({"a": vc.field("values"), "n": vc.field("counts")})
+
+        out = pairs.map_batches(per_a, batch_format="pyarrow",
+                                batch_size=None).take_all()
+        want = t.group_by("a").aggregate([("b", "count_distinct")])
+        assert {r["a"]: r["n"] for r in out} == dict(zip(
+            want.column("a").to_pylist(),
+            want.column("b_count_distinct").to_pylist()))
+
+
 class TestEmptyInput:
     @pytest.mark.parametrize("filtered", [False, True])
     def test_aggregations_return_no_rows(self, ray_session, filtered):
