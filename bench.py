@@ -144,12 +144,7 @@ def run_scaling(epochs: int = 8):
                 env={**os.environ, "RAY_GRAFT_CPUS": str(cpus),
                      "GRAFT_EPOCHS": str(epochs),
                      # per-call timing log -> sustained steady-state rate
-                     "GRAFT_CALLLOG": f"/tmp/dggsray_calllog_{cpus}",
-                     # input blocks pre-loaded to the object store once at BOTH
-                     # levels: one box = one disk, so cold per-epoch re-reads
-                     # are a constant-IO term both levels share; a real 4N-node
-                     # cluster scales reads with nodes (see flagship_epochs)
-                     "GRAFT_MATERIALIZE": "1"},
+                     "GRAFT_CALLLOG": f"/tmp/dggsray_calllog_{cpus}"},
                 capture_output=True, text=True, timeout=3600)
             line = [l for l in out.stdout.splitlines() if l.startswith("{")][-1]
             r = json.loads(line)
@@ -260,31 +255,22 @@ def run_one_flagship():
     n_images = n_images_for_sf(sf) * epochs
     from dggsray.pipelines.flagship import flagship_pipeline, flagship_epochs
     # warm the worker processes (imports, codecs) before the timed window —
-    # actor cold-start is a per-session cost a long-running cluster job pays
+    # worker cold-start is a per-session cost a long-running cluster job pays
     # once; steady-state throughput is what the N-vs-4N comparison measures
     flagship_pipeline(sf=sf, verify=True).count()
-    mat = os.environ.get("GRAFT_MATERIALIZE", "0") == "1"
     calllog = os.environ.get("GRAFT_CALLLOG")
-    if epochs == 1 and not calllog:
-        pipe = None
-    else:
-        # building the pipeline runs the one-time input materialization (when
-        # requested) OUTSIDE the timed window — the window then measures the
-        # steady-state processing stage only.  The epochs path is also the
-        # only one that installs the per-call timing pool, so any calllog
-        # request routes through it (even at epochs=1) instead of silently
-        # falling back to wall-time ratios.
-        pipe = flagship_epochs(sf=sf, epochs=epochs, verify=True,
-                               materialize_input=mat)
     if calllog:
         import glob as _glob
         for f in _glob.glob(os.path.join(calllog, "*.log")):
             os.remove(f)
     t0 = time.time()
-    if pipe is None:
+    # the epochs path is the only one that installs the per-call timing
+    # kernel, so any calllog request routes through it (even at epochs=1)
+    # instead of silently falling back to wall-time ratios
+    if epochs == 1 and not calllog:
         flagship_pipeline(sf=sf, verify=True).count()
     else:
-        pipe.count()
+        flagship_epochs(sf=sf, epochs=epochs, verify=True).count()
     dt = time.time() - t0
     out = {"value": round(dt, 3), "unit": "sec", "num_cpus": NUM_CPUS,
            "images_per_sec": round(n_images / dt, 1)}

@@ -12,7 +12,7 @@ raster_to_rhealpix (+ rhealpix_file_to_geodataframe):
 
 The stage is a callable class: the projection context is built once per instance
 (__init__) and batches stream through __call__ (pipelines.flagship builds one per
-block inside a plain Ray task).
+image-table file inside a plain Ray task).
 """
 from __future__ import annotations
 

@@ -5,12 +5,14 @@
 
 one plain Ray task per image-table file.  This is the reference's raster->rHPX
 conversion (SURVEY.md section 3.1) and vector->rHPX rasterize (section 3.2)
-composed into the cell-join the north_star describes.  The join is a function
-map with `batch_size=None` on Ray's task pool, which Ray fuses into the
-parquet read (`ReadParquet->MapBatches(...)`): pixels probe a sorted vector
-index inside the same streaming pass that reads them (the Raptor shape,
-PAPERS.md), with no actor pool and no separate operator stage.  Throughput
-metric: images/sec end-to-end.
+composed into the cell-join the north_star describes.  Each task reads its
+parquet file with pyarrow and joins it: pixels probe a sorted vector index in
+the same pass that reads them (the Raptor shape, PAPERS.md), with no actor
+pool and no Ray Data operator.  A Ray Data map would size each task's output
+at `target_max_block_size` until its first task returns, and with op resource
+reservation that budget admits one task at a time: the first wave would run
+serially although a file's result is ~39 KB.  Throughput metric: images/sec
+end-to-end.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.rhpx import DEFAULT_GRID, GridConfig
-from ..io.imagetable import (ensure_image_table, read_image_table,
-                             _CLUSTER_LON, _CLUSTER_LAT)
+from ..io.imagetable import ensure_image_table, _CLUSTER_LON, _CLUSTER_LAT
 from ..ops.raster2dggs import ImageToCells
 from ..ops.vector2dggs import burn_polygons_to_cells, feature_class_values
 
@@ -108,14 +109,14 @@ class ImageCellJoinAgg(ImageToCells):
     cell-level groupby shuffles live in the regrid queries (ops.cellify),
     where cross-image aggregation genuinely requires them.
 
-    The pipelines build one instance per block inside a plain Ray task (see
-    `_join_block`); construction is cheap, so there is no long-lived state to
-    keep in an actor.
+    The pipelines build one instance per image-table file inside that
+    file's plain Ray task (see `_join_file`); construction is cheap, so
+    there is no long-lived state to keep in an actor.
 
     `poly_ref` is the join index in one of three forms:
     - `[ref]`: a 1-element list wrapping a `ray.ObjectRef` to the
       `(sorted keys, values)` pair of `vector_cells_sorted`.  The ~13 MB
-      index is put into the object store once per pipeline and fetched
+      index is put into the object store once per pipeline call and fetched
       zero-copy here; the list keeps Ray from resolving the ref itself;
     - that `(keys, values)` pair by value;
     - a `(cellid, value)` string table, packed here via cell centroids.
@@ -233,52 +234,63 @@ def sustained_throughput(log_dir: str, lo_q: float = 0.1,
 # Per-call image cap for the join kernel: the concatenated per-call lattice
 # (images x 4096 pixel cells) must stay inside the LLC working set — measured
 # 0.33 ms/img at <=1250 images/call vs 3.13 ms/img at 5555 (cache thrash in
-# the packed-key searchsorted probe).  A block is one task; `_join_block`
+# the packed-key searchsorted probe).  A file is one task; `_join_block`
 # slices it into calls of this size.
 FLAGSHIP_BATCH = 625
 
 
 def _join_block(block: pa.Table, cls, poly_ref, res: int, grid: GridConfig,
                 verify: bool, batch_size: int) -> pa.Table:
-    """One task: join a whole block of image rows, `batch_size` rows per
-    kernel call.  The kernel is built here, per block: that is a zero-copy
-    `ray.get` of the index plus a trivial constructor."""
+    """Join a whole block of image rows, `batch_size` rows per kernel call.
+    The kernel is built here, per block: that is a zero-copy `ray.get` of
+    the index plus a trivial constructor."""
     op = cls(poly_ref=poly_ref, dst_resolution_idx=res, grid=grid,
              verify=verify)
     starts = range(0, block.num_rows, batch_size) or [0]
     return pa.concat_tables([op(block.slice(i, batch_size)) for i in starts])
 
 
-def _join_images(ds, res: int, grid: GridConfig, verify: bool,
-                 batch_size: int = FLAGSHIP_BATCH, cls=ImageCellJoinAgg):
-    """Image-row Dataset -> per-image join result, one plain task per block.
+def _join_file(path: str, shard: tuple | None, **join) -> pa.Table:
+    """Task: read one image-table parquet file and join it.  `shard =
+    (part, n_parts)` keeps only the rows whose image_id crc falls in `part`
+    (deterministic row buckets for a resumable run over few files)."""
+    import zlib
 
-    `batch_size=None` and a task-pool function are what let Ray fuse this map
-    into an upstream read (one `ReadParquet->MapBatches(...)` operator): a
-    `batch_size` after a read, or a read that splits its blocks, breaks the
-    fusion, and the unfused image blocks then stay resident in long-lived
-    workers (flagship_join peak RSS +26-31% at 4 CPUs)."""
-    import ray
+    import pyarrow.parquet as pq
 
-    # nested-ref broadcast: put once, fetched zero-copy per block
+    block = pq.read_table(path)
+    if shard is not None:
+        part, n_parts = shard
+        mask = np.array([zlib.crc32(i.encode()) % n_parts == part
+                         for i in block.column("image_id").to_pylist()],
+                        dtype=bool)           # bool even when the file is empty
+        block = block.filter(pa.array(mask))
+    return _join_block(block, **join)
+
+
+def _join_files(files: list[str], res: int, grid: GridConfig, verify: bool,
+                batch_size: int = FLAGSHIP_BATCH, cls=ImageCellJoinAgg,
+                shard: tuple | None = None):
+    """Image-table files -> per-image join result: one plain Ray task per
+    file (a file listed twice runs twice), returned through
+    `ray.data.from_arrow_refs`, which waits for the tasks."""
+    import ray.data
+
+    from ..ops.joins import _remote
+
+    # nested-ref broadcast: put once, fetched zero-copy per task
     poly_idx = [ray.put(vector_cells_sorted(res, grid))]
-    return ds.map_batches(
-        _join_block, batch_format="pyarrow", batch_size=None,
-        fn_kwargs={"cls": cls, "poly_ref": poly_idx, "res": res, "grid": grid,
-                   "verify": verify, "batch_size": batch_size})
+    task = _remote(_join_file)
+    return ray.data.from_arrow_refs([
+        task.remote(f, shard, cls=cls, poly_ref=poly_idx, res=res, grid=grid,
+                    verify=verify, batch_size=batch_size) for f in files])
 
 
-def _read_images(path: str):
-    """The image table with one read task per parquet file, and at least one
-    per CPU: a read that does not split files fuses with the join map."""
+def _image_files(sf: float) -> list[str]:
     import glob
     import os
 
-    import ray
-
-    n_files = len(glob.glob(os.path.join(path, "*.parquet")))
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    return read_image_table(path, override_num_blocks=max(n_files, cpus))
+    return sorted(glob.glob(os.path.join(ensure_image_table(sf), "*.parquet")))
 
 
 def flagship_resumable(sf: float, out_dir: str, res: int = FLAGSHIP_RES,
@@ -286,30 +298,17 @@ def flagship_resumable(sf: float, out_dir: str, res: int = FLAGSHIP_RES,
                        fail_after: int | None = None):
     """Checkpointed flagship run: the image table's parquet files are split into
     partitions; each writes its own output + lineage record and is skipped on
-    resume (io.lineage).  Returns (n_computed, n_skipped)."""
-    import glob
-
+    resume (io.lineage).  With fewer files than partitions, every partition
+    joins every file and keeps its crc bucket of image_ids.  Returns
+    (n_computed, n_skipped)."""
     from ..io.lineage import run_resumable
 
-    path = ensure_image_table(sf)
-    files = sorted(glob.glob(f"{path}/*.parquet"))
-
+    files = _image_files(sf)
     shard_by_rows = len(files) < (n_parts or len(files))
 
     def make(part_files, part, nparts):
-        import ray.data as rd
-        import zlib
-
-        ds = rd.read_parquet(part_files)
-        if shard_by_rows:
-            # few input files: deterministic row buckets by image_id crc
-            def keep(b: pa.Table) -> pa.Table:
-                ids = b.column("image_id").to_pylist()
-                mask = np.array([zlib.crc32(i.encode()) % nparts == part
-                                 for i in ids], dtype=bool)   # bool even when
-                return b.filter(pa.array(mask))               # the batch is empty
-            ds = ds.map_batches(keep, batch_format="pyarrow")
-        return _join_images(ds, res, grid, verify=False)
+        return _join_files(part_files, res, grid, verify=False,
+                           shard=(part, nparts) if shard_by_rows else None)
 
     return run_resumable(files, out_dir, make, n_parts, fail_after)
 
@@ -318,47 +317,27 @@ def flagship_pipeline(sf: float, res: int = FLAGSHIP_RES,
                       grid: GridConfig = DEFAULT_GRID, verify: bool = False,
                       batch_size=FLAGSHIP_BATCH):
     """Returns the per-image result Dataset:
-    (image_id, n_cells, n_matched, majority_value).
+    (image_id, n_cells, n_matched, majority_value), one block per image-table
+    parquet file.
 
-    Runs as one fused `ReadParquet->MapBatches(_join_block)` operator when the
-    image table has at least as many parquet files as the cluster has CPUs:
-    each task reads one file and joins it, `batch_size` images per kernel call
-    (see FLAGSHIP_BATCH).  With fewer files the read splits them to use every
-    CPU and the join runs as separate plain tasks.  Parallelism therefore
-    follows the table's file count; there is no actor pool to size."""
-    return _join_images(_read_images(ensure_image_table(sf)), res, grid,
-                        verify, batch_size)
+    One plain Ray task per file reads it with pyarrow and joins it,
+    `batch_size` images per kernel call (see FLAGSHIP_BATCH).  Parallelism
+    follows the table's file count, with no row-range splitting: sf0.01 has
+    5 files, sf0.001 has 1 and runs as a single task.  The Dataset is not
+    lazy: the call returns once every task has finished."""
+    return _join_files(_image_files(sf), res, grid, verify, batch_size)
 
 
 def flagship_epochs(sf: float, epochs: int, res: int = FLAGSHIP_RES,
-                    grid: GridConfig = DEFAULT_GRID, verify: bool = True,
-                    materialize_input: bool = False):
-    """Union of `epochs` passes over the image table through the same plain
-    per-block join tasks as `flagship_pipeline` — the steady-state throughput
-    measurement used by bench --scaling (which sets $GRAFT_CALLLOG to log
-    every kernel call, see TimedImageCellJoinAgg).  With epochs > 1 the union
-    sits between the reads and the join, so the two do not fuse.
-
-    materialize_input=True loads the input blocks into the object store ONCE
-    and unions the materialized dataset: used by the N-vs-4N scaling
-    measurement, where the single box's ONE disk is a fixed resource shared by
-    both parallelism levels — re-reading per epoch folds constant IO into the
-    denominator and understates compute scaling (measured: 30.7k -> 47.8k
-    img/s at 24 cpus).  A real 4N-node cluster reads its shards from
-    node-local/distributed storage, so read bandwidth scales WITH the cluster;
-    the headline bench keeps the honest cold read."""
+                    grid: GridConfig = DEFAULT_GRID, verify: bool = True):
+    """`epochs` passes over the image table through the same per-file join
+    tasks as `flagship_pipeline`, all submitted at once: the steady-state
+    throughput measurement used by bench --scaling (which sets
+    $GRAFT_CALLLOG to log every kernel call, see TimedImageCellJoinAgg).
+    Each task reads its file itself, so every epoch re-reads the table.
+    Returns when every pass has finished."""
     import os
 
-    path = ensure_image_table(sf)
-    if materialize_input:
-        base = _read_images(path).materialize()
-        ds = base
-        for _ in range(epochs - 1):
-            ds = ds.union(base)
-    else:
-        ds = _read_images(path)
-        for _ in range(epochs - 1):
-            ds = ds.union(_read_images(path))
     cls = TimedImageCellJoinAgg if os.environ.get("GRAFT_CALLLOG") \
         else ImageCellJoinAgg
-    return _join_images(ds, res, grid, verify, cls=cls)
+    return _join_files(_image_files(sf) * epochs, res, grid, verify, cls=cls)

@@ -3691,6 +3691,27 @@ def product_profit_q9(sf_dir: str, name_sub: str = "widget"):
         .reset_index(drop=True)
 
 
+def _embedding_sums(key: str, keys: np.ndarray, embedding, scale: float
+                    ) -> pa.Table:
+    """Per-block partial of a per-key embedding mean, long form: each
+    component quantized to floor(x * scale + 0.5) (exact int64, so the
+    distributed sum is associative), one stable sort by `keys` and one
+    `np.add.reduceat` to (key, dim, _s, _n) rows — bounded by keys x dims,
+    never by row count."""
+    emb = np.stack(embedding.to_numpy(zero_copy_only=False))
+    v = np.floor(emb.astype(np.float64) * scale + 0.5).astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    ks, vs = keys[order], v[order]
+    bounds = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    sums = np.add.reduceat(vs, bounds, axis=0)
+    ns = np.diff(np.r_[bounds, ks.size]).astype(np.int64)
+    g, d = sums.shape
+    return pa.table({key: pa.array(np.repeat(ks[bounds], d)),
+                     "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), g)),
+                     "_s": pa.array(sums.ravel()),
+                     "_n": pa.array(np.repeat(ns, d))})
+
+
 def cell_embedding_centroid(sf_dir: str, res: int = 1):
     """Per-cell embedding centroid: element-wise mean of the embedding
     vectors of all points in each DGGS cell — the spatial-semantic
@@ -3707,26 +3728,13 @@ def cell_embedding_centroid(sf_dir: str, res: int = 1):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def partial(b: pa.Table) -> pa.Table:
-        keys = b.column("vec_id").to_numpy()
-        lon, lat = derived_lonlat(keys)
+        lon, lat = derived_lonlat(b.column("vec_id").to_numpy())
         cells = np.asarray(cells_from_lonlat(res, lon, lat, DEFAULT_GRID))
-        emb = np.stack(b.column("embedding").to_numpy(zero_copy_only=False))
-        v = np.floor(emb.astype(np.float64) * 1e6 + 0.5).astype(np.int64)
-        order = np.argsort(cells, kind="stable")
-        cs, vs = cells[order], v[order]
-        bounds = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-        sums = np.add.reduceat(vs, bounds, axis=0)
-        ns = np.diff(np.r_[bounds, cs.size]).astype(np.int64)
-        g, D = sums.shape
-        return pa.table({
-            "cell": pa.array(np.repeat(cs[bounds], D), pa.string()),
-            "dim": pa.array(np.tile(np.arange(D, dtype=np.int64), g)),
-            "sum_e6": pa.array(sums.ravel()),
-            "_n": pa.array(np.repeat(ns, D))})
+        return _embedding_sums("cell", cells, b.column("embedding"), 1e6)
 
     agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
                         ["cell", "dim"],
-                        Sum("sum_e6", alias_name="sum_e6"),
+                        Sum("_s", alias_name="sum_e6"),
                         Sum("_n", alias_name="n_points"))
     out = agg.to_pandas()
     out["centroid_e6"] = (out.sum_e6 // out.n_points).astype("int64")
@@ -4151,20 +4159,7 @@ def embed_label_centroid_dist(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         lab = pc.cast(b.column("label"), pa.int64()).to_numpy()
-        emb = np.stack(b.column("embedding").to_numpy(
-            zero_copy_only=False))
-        W = np.floor(emb.astype(np.float64) * 1000 + 0.5).astype(np.int64)
-        order = np.argsort(lab, kind="stable")
-        lab_s, W_s = lab[order], W[order]
-        u, first = np.unique(lab_s, return_index=True)
-        sums = np.add.reduceat(W_s, first, axis=0)
-        cnts = np.diff(np.r_[first, lab_s.size])
-        d = W.shape[1]
-        return pa.table({
-            "label": pa.array(np.repeat(u, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), u.size)),
-            "_s": pa.array(sums.ravel()),
-            "_n": pa.array(np.repeat(cnts.astype(np.int64), d))})
+        return _embedding_sums("label", lab, b.column("embedding"), 1000)
 
     agg = sized_groupby(ds.map_batches(partial, batch_format="pyarrow"),
                         ["label", "dim"], Sum("_s", alias_name="s"),

@@ -1,6 +1,6 @@
 """Flagship robustness: no hang at small CPU counts, no stall between
-back-to-back calls without the cyclic GC, and a plan that stays one fused
-read->join operator."""
+back-to-back calls without the cyclic GC, and one join task per image-table
+file."""
 import glob
 import os
 import signal
@@ -55,26 +55,32 @@ def test_back_to_back_calls_finish_at_small_cpu_counts(num_cpus):
     assert out.strip().endswith("OK")
 
 
-def test_flagship_plan_is_one_fused_read_join(ray_session):
-    """Reading the table unsplit and mapping a function with batch_size=None
-    lets Ray fuse the join into the read; a batch_size or a block split
-    would separate the two and keep the image blocks resident in workers."""
+def test_flagship_is_one_task_per_file(ray_session):
+    """One plain task per image-table parquet file: one output block per
+    file, every image exactly once, and each block equal to the join kernel
+    run on that file in the driver."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray
-    from ray.data._internal.compute import ActorPoolStrategy
 
+    from dggsray.core.rhpx import DEFAULT_GRID
     from dggsray.io.imagetable import ensure_image_table
-    from dggsray.pipelines.flagship import flagship_pipeline
+    from dggsray.pipelines.flagship import (FLAGSHIP_BATCH, FLAGSHIP_RES,
+                                            ImageCellJoinAgg, _join_block,
+                                            flagship_pipeline,
+                                            vector_cells_sorted)
 
-    n_files = len(glob.glob(os.path.join(ensure_image_table(0.01),
-                                         "*.parquet")))
-    cpus = int(ray.cluster_resources()["CPU"])
-    assert n_files >= cpus, (n_files, cpus)
-    ds = flagship_pipeline(sf=0.01)
-    # the join is the plan's last operator
-    assert not isinstance(ds._logical_plan.dag._compute, ActorPoolStrategy)
-    out = ds.materialize()
-    assert out.count() == 5000
-    operators = [ln for ln in out.stats().splitlines()
-                 if ln.startswith("Operator ")]
-    assert len(operators) == 1, operators
-    assert "ReadParquet->MapBatches(" in operators[0], operators
+    index = vector_cells_sorted(FLAGSHIP_RES, DEFAULT_GRID)
+    for sf, n_images in ((0.001, 500), (0.01, 5000)):
+        files = sorted(glob.glob(os.path.join(ensure_image_table(sf),
+                                              "*.parquet")))
+        blocks = ray.get(flagship_pipeline(sf=sf).to_arrow_refs())
+        assert len(blocks) == len(files), (sf, len(blocks), len(files))
+        out = pa.concat_tables(blocks)
+        assert out.num_rows == n_images, (sf, out.num_rows)
+        assert len(out.column("image_id").unique()) == n_images
+        want = pa.concat_tables([
+            _join_block(pq.read_table(f), ImageCellJoinAgg, index,
+                        FLAGSHIP_RES, DEFAULT_GRID, False, FLAGSHIP_BATCH)
+            for f in files])
+        assert out.equals(want), sf

@@ -44,6 +44,26 @@ class TestResume:
         for p in range(5):
             assert log.load(p)["digest"] == l2.load(p)["digest"]
 
+    def test_resumable_rows_equal_pipeline(self, ray_session, tmp_path):
+        """File shards (n_parts=1) and crc row buckets (n_parts=5 over the
+        one sf0.001 file) both give the pipeline's rows."""
+        import pandas as pd
+
+        from dggsray.io.lineage import read_resumable
+        from dggsray.pipelines.flagship import (flagship_pipeline,
+                                                flagship_resumable)
+
+        want = flagship_pipeline(sf=0.001).to_pandas() \
+            .sort_values("image_id").reset_index(drop=True)
+        assert len(want) == 500
+        for n_parts in (5, 1):
+            out = str(tmp_path / f"parts{n_parts}")
+            assert flagship_resumable(0.001, out, n_parts=n_parts) \
+                == (n_parts, 0)
+            got = read_resumable(out).to_pandas().sort_values("image_id") \
+                .reset_index(drop=True)
+            pd.testing.assert_frame_equal(got, want)
+
     def test_tampered_partition_recomputed(self, ray_session, tmp_path):
         from dggsray.io.lineage import LineageLog
         from dggsray.pipelines.flagship import flagship_resumable
