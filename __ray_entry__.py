@@ -47,8 +47,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cell_agg_customer": lambda d: R.cell_agg_customer(d, _RES_AGG_FINE,
                                                            _RES_AGG_COARSE),
         "cell_join_customer_orders": lambda d: R.cell_join_customer_orders(d, _RES_JOIN),
-        "cell_join_customer_orders_bucketed":
-            lambda d: R.cell_join_customer_orders_bucketed(d, _RES_JOIN),
         "cell_majority_nation": lambda d: R.cell_majority_nation(d, _RES_MAJ),
         "cell_setops_customer_orders": lambda d: R.cell_setops_customer_orders(d, _RES_JOIN),
         "cell_topk_densest": R.cell_topk_densest,
@@ -704,14 +702,6 @@ def oracle_sql() -> dict[str, str]:
             f"AS bal_cents, "
             f"COUNT(*) AS n_customers FROM customer GROUP BY 1",
         "cell_join_customer_orders":
-            f"WITH cc AS (SELECT {cell_c_join} AS cellid, COUNT(*) AS nc "
-            f"FROM customer GROUP BY 1), "
-            f"oc AS (SELECT {cell_o_join} AS cellid, COUNT(*) AS no "
-            f"FROM orders GROUP BY 1) "
-            f"SELECT cc.cellid AS cellid, CAST(cc.nc * oc.no AS BIGINT) AS n_pairs "
-            f"FROM cc JOIN oc ON cc.cellid = oc.cellid",
-        # identical semantics, clustered-table physical plan
-        "cell_join_customer_orders_bucketed":
             f"WITH cc AS (SELECT {cell_c_join} AS cellid, COUNT(*) AS nc "
             f"FROM customer GROUP BY 1), "
             f"oc AS (SELECT {cell_o_join} AS cellid, COUNT(*) AS no "

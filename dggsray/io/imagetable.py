@@ -403,32 +403,3 @@ def ensure_image_table(sf: float, root: str = "/tmp/dggsray_cache",
     with open(done, "w") as f:
         f.write("ok")
     return path
-
-
-def read_image_table(path: str, **read_kwargs):
-    """Open an image+caption table as a ray.data.Dataset, dispatching on
-    format: a `.lance` path (the north-star's production layout for the
-    10^12-image corpus) goes to ray.data.read_lance — Lance gives the
-    columnar scan the same zero-copy Arrow batches plus fast random take,
-    so every downstream stage is format-agnostic; anything else reads as
-    parquet.  Scheme-qualified paths (s3://...) resolve through the same
-    `register_filesystem` seam as rasters and cell tables, so remote
-    corpora plug in with one registration.  `read_kwargs` pass through to
-    the reader (columns=, override_num_blocks=, ...).  Loud failure: a
-    .lance path without the lance package raises NotImplementedError
-    naming the dependency rather than a bare ImportError downstream."""
-    import ray.data as rd
-
-    from ..core.raster import localize_path
-
-    path = localize_path(path)
-    if path.rstrip("/").endswith(".lance"):
-        try:
-            import lance  # noqa: F401  (ray.data.read_lance requires it)
-        except ImportError as e:
-            raise NotImplementedError(
-                "reading .lance image tables requires the 'lance' package "
-                "(pip install pylance); parquet tables need no extra "
-                "dependency") from e
-        return rd.read_lance(path, **read_kwargs)
-    return rd.read_parquet(path, **read_kwargs)

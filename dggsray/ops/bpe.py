@@ -345,6 +345,8 @@ def learn_bpe_delta(ds, n_merges: int, text_col: str = "text",
         n_shards = max(2, min(16, int(
             ray.cluster_resources().get("CPU", 8)) // 2))
 
+    # the engine's one actor: a shard's linked list and pair index are the
+    # state that carries across merge rounds, so it cannot be a task
     Shard = ray.remote(ShardBPE)
     # materialize first: to_arrow_refs on a lazy view executes its plan
     # once for the blocks and again for the schema

@@ -299,24 +299,17 @@ def _bm_of(bt: pa.Table) -> np.ndarray:
                      for c in ("b0", "b1", "b2", "b3")], axis=1)
 
 
-class _CharsetProbe:
-    """Actor-pool probe for the broadcast path: the PACKED bitmap matrix ships
-    once via ray.put and is unpacked ONCE per actor here (a 25x size blow-up
-    paid per actor, never per batch)."""
-
-    def __init__(self, bref, threshold: float, id_col: str):
-        import ray
-        bm_all, ids_all = ray.get(bref)
-        self.bits_all, self.pop_all = _unpack_bits(bm_all)
-        self.ids_all = ids_all
-        self.threshold = threshold
-        self.id_col = id_col
-
-    def __call__(self, bt: pa.Table) -> pa.Table:
-        bits, pop = _unpack_bits(_bm_of(bt))
-        ids = bt.column(self.id_col).to_numpy().astype(np.int64)
-        return _jaccard_cross(bits, pop, ids, self.bits_all, self.pop_all,
-                              self.ids_all, self.threshold)
+def _charset_probe(bt: pa.Table, bref: list, threshold: float,
+                   id_col: str) -> pa.Table:
+    """Probe for the broadcast path, run once per block: the PACKED bitmap
+    matrix ships once via ray.put (`bref` is a 1-element list around its
+    ref) and is unpacked here, a 25x size blow-up paid per block."""
+    import ray
+    bm_all, ids_all = ray.get(bref[0])
+    bits, pop = _unpack_bits(_bm_of(bt))
+    ids = bt.column(id_col).to_numpy().astype(np.int64)
+    return _jaccard_cross(bits, pop, ids, *_unpack_bits(bm_all), ids_all,
+                          threshold)
 
 
 def charset_jaccard_pairs(ds, threshold: float, text_col: str = "text",
@@ -330,9 +323,9 @@ def charset_jaccard_pairs(ds, threshold: float, text_col: str = "text",
 
     - build: the DISTRIBUTED bitmap aggregate, 40 B/doc packed (4 TB per
       100 G docs — which is exactly why the broadcast is capped).
-    - probe, n <= max_broadcast_docs: packed bitmaps ray.put once; an actor
-      POOL unpacks them once per actor (__init__) and each batch is one
-      chunked bit-GEMM against the broadcast.
+    - probe, n <= max_broadcast_docs: packed bitmaps ray.put once; each
+      block's task unpacks them once and runs one chunked bit-GEMM against
+      the broadcast.
     - probe, n > max_broadcast_docs: partition-pair banding — docs hash into
       P = ceil(n / max_broadcast_docs) bands, every (i, j) band pair meets in
       its own groupby bucket, so a task holds at most 2 bands of packed
@@ -358,11 +351,9 @@ def charset_jaccard_pairs(ds, threshold: float, text_col: str = "text",
         bitmaps = _bm_of(tbl)
         all_ids = tbl.column(id_col).to_numpy().astype(np.int64)
         bref = ray.put((bitmaps, all_ids))
-        from .multimodal import _default_pool
-        return bm.map_batches(
-            _CharsetProbe, batch_format="pyarrow",
-            fn_constructor_args=(bref, threshold, id_col),
-            concurrency=_default_pool(), max_restarts=0)
+        return bm.map_batches(_charset_probe, batch_format="pyarrow",
+                              batch_size=None,
+                              fn_args=([bref], threshold, id_col))
 
     # over-cap: partition-pair banding
     P = int(np.ceil(n / max_broadcast_docs))
@@ -594,30 +585,23 @@ def _pairs_table(id_a, id_b, jm) -> pa.Table:
                      "jac_micro": pa.array(jm, pa.int64())})
 
 
-class _NgramProbe:
-    """Actor-pool probe for the broadcast path: the concatenated hash-set
-    arrays ship once via ray.put and the global sort (the probe structure) is
-    built ONCE per actor here, never per batch.  Batches are rows of the
-    pre-built sets table (id, _set blob) — the corpus text is never
-    re-tokenized."""
-
-    def __init__(self, bref, thr_micro: int, id_col: str):
-        import ray
-        H_all, n_all, ids_all = ray.get(bref)
-        self.Hs, self.doc_g = _sort_hashsets(H_all, n_all)
-        self.ng, self.ig = n_all, ids_all
-        self.thr_micro = thr_micro
-        self.id_col = id_col
-
-    def __call__(self, bt: pa.Table) -> pa.Table:
-        blobs = bt.column("_set").to_pylist()
-        ids = bt.column(self.id_col).to_numpy().astype(np.int64)
-        npd = np.array([len(x) // 8 for x in blobs], np.int64)
-        h = np.frombuffer(b"".join(blobs), dtype=np.uint64)
-        o = np.concatenate([[0], np.cumsum(npd)])
-        return _pairs_table(*_hashset_cross_pairs(
-            self.Hs, self.doc_g, self.ng, self.ig, h, o, ids,
-            self.thr_micro))
+def _ngram_probe(bt: pa.Table, bref: list, thr_micro: int,
+                 id_col: str) -> pa.Table:
+    """Probe for the broadcast path, run once per block: the concatenated
+    hash-set arrays ship once via ray.put (`bref` is a 1-element list around
+    its ref) and the global sort (the probe structure) is built here, once
+    per block.  Blocks are rows of the pre-built sets table (id, _set blob) —
+    the corpus text is never re-tokenized."""
+    import ray
+    H_all, n_all, ids_all = ray.get(bref[0])
+    Hs, doc_g = _sort_hashsets(H_all, n_all)
+    blobs = bt.column("_set").to_pylist()
+    ids = bt.column(id_col).to_numpy().astype(np.int64)
+    npd = np.array([len(x) // 8 for x in blobs], np.int64)
+    h = np.frombuffer(b"".join(blobs), dtype=np.uint64)
+    o = np.concatenate([[0], np.cumsum(npd)])
+    return _pairs_table(*_hashset_cross_pairs(
+        Hs, doc_g, n_all, ids_all, h, o, ids, thr_micro))
 
 
 def ngram_jaccard_pairs(ds, threshold: float, text_col: str = "text",
@@ -631,9 +615,9 @@ def ngram_jaccard_pairs(ds, threshold: float, text_col: str = "text",
 
     - build: per-doc sorted distinct bigram-hash sets, one vectorized Arrow
       pass per block (_bigram_hash_sets).
-    - probe, n <= max_broadcast_docs: hash arrays ray.put once; an actor POOL
-      globally sorts them once per actor (__init__) and each batch is one
-      vectorized searchsorted range-probe + sort-boundary pair count
+    - probe, n <= max_broadcast_docs: hash arrays ray.put once; each
+      block's task globally sorts them once and runs one vectorized
+      searchsorted range-probe + sort-boundary pair count
       (_hashset_cross_pairs) — no per-doc Python loop.
     - probe, n > max_broadcast_docs: partition-pair banding — docs hash into
       P = ceil(n / max_broadcast_docs) bands, every (i, j) band pair meets in
@@ -677,11 +661,9 @@ def ngram_jaccard_pairs(ds, threshold: float, text_col: str = "text",
             return schema.empty_table()
         bref = ray.put((np.concatenate(h_l), np.concatenate(n_l),
                         np.concatenate(ids_l)))
-        from .multimodal import _default_pool
-        probes = sets.map_batches(
-            _NgramProbe, batch_format="pyarrow",
-            fn_constructor_args=(bref, thr_micro, id_col),
-            concurrency=_default_pool(), max_restarts=0)
+        probes = sets.map_batches(_ngram_probe, batch_format="pyarrow",
+                                  batch_size=None,
+                                  fn_args=([bref], thr_micro, id_col))
         return collect_typed(probes, schema)
 
     # over-cap: partition-pair banding over the hash-set blobs
@@ -1004,8 +986,9 @@ def embedding_neardup_pairs(ds, threshold: float, id_col: str = "vec_id",
     recall 100 TB path is embedding_neardup_lsh below), but the full matrix is
     only ever held when it is measured to be small:
 
-    - n <= max_broadcast_rows: matrix ray.put once, actor POOL fetches it once
-      per actor (__init__), each batch is one blocked matmul against it.
+    - n <= max_broadcast_rows: matrix ray.put once, each batch's task
+      fetches it (a zero-copy plasma read) and runs one blocked matmul
+      against it.
     - n > max_broadcast_rows: partition-pair banding (STILL exact) — vectors
       hash into P = ceil(n / max_broadcast_rows) bands, every (i, j) band
       pair meets in its own groupby bucket, so a task holds at most 2 bands

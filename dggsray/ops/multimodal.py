@@ -1,19 +1,25 @@
 """Multimodal column stages: opaque binary payloads + typed metadata, processed by
-actor-pool map_batches stages.
+task-pool map_batches stages.
+
+Each stage is a callable class holding at most a few scalars.  Callers pass
+an INSTANCE to `map_batches`, e.g. `ds.map_batches(VideoFrameSample(every_n=2),
+batch_format="pyarrow")`: Ray runs an instance as a plain function on the task
+pool, where it fuses with the maps around it.  Passing the class would start
+an actor pool, which no stage here needs: none holds state that costs
+anything to build.
 
 Image stages are REAL (the engine ships raw/PNG codecs).  Audio/video DECODE is
 stubbed: the environment has no audio/video libraries, so real codecs raise
 NotImplementedError while the deterministic "pcm16" / "rawv" fakes exercise the
-full Ray plumbing (schema, batch sizing, actor state, output layout) — the parts
-a swap-in of a real decoder would reuse unchanged.
+full Ray plumbing (schema, batch sizing, output layout) — the parts a swap-in
+of a real decoder would reuse unchanged.
 """
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 
-from ..io.imagetable import (average_phash, average_phash_batch,
-                             decode_image, encode_image)
+from ..io.imagetable import average_phash_batch, decode_image
 
 
 def _decode_stacks(b: pa.Table):
@@ -42,37 +48,8 @@ def _decode_stacks(b: pa.Table):
     return out
 
 
-class ImageResize:
-    """Actor stage: decode -> nearest-neighbour resize -> re-encode.
-    Output schema mirrors the input image table with new (bytes, w, h)."""
-
-    def __init__(self, out_w: int, out_h: int, out_fmt: str = "raw"):
-        self.out_w, self.out_h, self.out_fmt = out_w, out_h, out_fmt
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        blobs = b.column("bytes").to_pylist()
-        ws = b.column("w").to_numpy()
-        hs = b.column("h").to_numpy()
-        fmts = b.column("fmt").to_pylist()
-        rows_c = np.arange(self.out_h)
-        cols_c = np.arange(self.out_w)
-        out = []
-        for k in range(len(blobs)):
-            img = decode_image(blobs[k], int(ws[k]), int(hs[k]), fmts[k])
-            sr = (rows_c * hs[k] // self.out_h).astype(np.int64)
-            sc = (cols_c * ws[k] // self.out_w).astype(np.int64)
-            out.append(encode_image(img[sr][:, sc], self.out_fmt))
-        n = len(blobs)
-        return pa.table({
-            "image_id": b.column("image_id"),
-            "bytes": pa.array(out, pa.binary()),
-            "w": pa.array(np.full(n, self.out_w, np.int32)),
-            "h": pa.array(np.full(n, self.out_h, np.int32)),
-            "fmt": pa.array([self.out_fmt] * n, pa.string())})
-
-
 class ImageFeatures:
-    """Actor stage: decode -> per-channel mean/std + phash feature row."""
+    """Stage: decode -> per-channel mean/std + phash feature row."""
 
     def __call__(self, b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -130,7 +107,7 @@ def decode_wav(blob: bytes) -> tuple[np.ndarray, int]:
 
 
 class AudioFeatures:
-    """Actor stage for audio binary columns.  REAL decoders: 'wav' (RIFF PCM
+    """Stage for audio binary columns.  REAL decoders: 'wav' (RIFF PCM
     through the stdlib wave module) and 'pcm16' (headerless little-endian
     int16 mono); compressed codecs (mp3/ogg/flac) raise NotImplementedError —
     no codec libraries in this environment, swap the decode branch for
@@ -180,7 +157,7 @@ class AudioFeatures:
 
 
 class VideoFrameSample:
-    """Actor stage for video binary columns.  Real format: 'mjpeg' — AVI/MJPEG
+    """Stage for video binary columns.  Real format: 'mjpeg' — AVI/MJPEG
     containers parsed by core.aviio (pure-struct RIFF walk) with every sampled
     frame decoded by the from-scratch baseline-JPEG codec (core.jpegio);
     'rawv' (concatenated raw RGB frames) remains as the lossless fixture
@@ -274,7 +251,7 @@ class ImageAugment:
     are zero-copy strides), emit raw bytes + the augmented phash.
 
     Real augmentation menus (rotations, interpolated crops, color jitter) are
-    more kernels in the same __call__ — the Ray shape (actor pool, one decode,
+    more kernels in the same __call__ — the Ray shape (one decode per image,
     deterministic seed per row) is what this stage pins down."""
 
     def __call__(self, b: pa.Table) -> pa.Table:
@@ -342,8 +319,8 @@ class VideoSceneCuts:
     real AVI+baseline-JPEG path, 'rawv' by slicing), one vectorized
     mean-|Δluma| over the whole (frames, h, w, 3) stack per clip, and a row
     per consecutive-frame transition with its difference and cut flag.  Same
-    actor-pool shape as VideoFrameSample (per-clip decode state lives in the
-    worker, never on the driver); external codecs raise NotImplementedError.
+    shape as VideoFrameSample (frames are decoded inside the map task, never
+    on the driver); external codecs raise NotImplementedError.
 
     diff_milli is the mean absolute per-pixel difference x1000 (integer, so
     downstream compares are float-order-free); is_cut = diff > threshold."""
@@ -395,21 +372,5 @@ class VideoSceneCuts:
             "is_cut": pa.array(diff > self.threshold_milli)})
 
 
-def _default_pool():
-    import ray
-    return max(2, (int(ray.cluster_resources().get("CPU", 8)) * 5) // 8)
-
-
-def resize_images(ds, out_w: int, out_h: int, out_fmt: str = "raw",
-                  concurrency=None, batch_size=None):
-    return ds.map_batches(ImageResize, fn_constructor_kwargs={
-        "out_w": out_w, "out_h": out_h, "out_fmt": out_fmt},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency or _default_pool(), max_restarts=0)
-
-
-def image_features(ds, concurrency=None, batch_size=None):
-    return ds.map_batches(ImageFeatures, batch_format="pyarrow",
-                          batch_size=batch_size,
-                          concurrency=concurrency or _default_pool(),
-                          max_restarts=0)
+def image_features(ds):
+    return ds.map_batches(ImageFeatures(), batch_format="pyarrow")

@@ -402,17 +402,16 @@ def _sf_of(sf_dir: str) -> float:
 
 
 def audio_features(sf_dir: str):
-    """Audio actor-pool stage over the synthetic WAV table: real RIFF/PCM
-    decode (stdlib wave) + rms/peak/zcr/spectral-centroid features; outputs
+    """Audio stage over the synthetic WAV table: real RIFF/PCM decode
+    (stdlib wave) + rms/peak/zcr/spectral-centroid features; outputs
     micro-int columns for deterministic comparison."""
     import ray.data as rd
 
     from ..io.avtable import ensure_audio_table
-    from ..ops.multimodal import AudioFeatures, _default_pool
+    from ..ops.multimodal import AudioFeatures
 
     ds = rd.read_parquet(ensure_audio_table(_sf_of(sf_dir)))
-    out = ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                         concurrency=_default_pool(), max_restarts=0)
+    out = ds.map_batches(AudioFeatures(), batch_format="pyarrow")
 
     def fin(b: pa.Table) -> pa.Table:
         from ..io.avtable import synth_pcm
@@ -427,7 +426,7 @@ def audio_features(sf_dir: str):
         ids = b.column("audio_id").to_pylist()
         # in-row oracle: features recomputed from the CONTAINER-FREE
         # regenerated samples must match the WAV-decoded stream's features
-        # exactly (integer micro equality) — pins the RIFF decode + actor
+        # exactly (integer micro equality) — pins the RIFF decode + stage
         # plumbing per row
         ok = np.empty(len(ids), dtype=bool)
         for k, aid in enumerate(ids):
@@ -452,18 +451,17 @@ def audio_features(sf_dir: str):
 
 
 def video_frames(sf_dir: str):
-    """Video actor-pool stage over the synthetic AVI/MJPEG table: real RIFF
-    parse + baseline-JPEG frame decode, every-2nd-frame sampling, per-frame
-    mean brightness."""
+    """Video stage over the synthetic AVI/MJPEG table: real RIFF parse +
+    baseline-JPEG frame decode, every-2nd-frame sampling, per-frame mean
+    brightness."""
     import ray.data as rd
 
     from ..io.avtable import ensure_video_table
-    from ..ops.multimodal import VideoFrameSample, _default_pool
+    from ..ops.multimodal import VideoFrameSample
 
     ds = rd.read_parquet(ensure_video_table(_sf_of(sf_dir)))
-    frames = ds.map_batches(VideoFrameSample, batch_format="pyarrow",
-                            fn_constructor_kwargs={"every_n": 2},
-                            concurrency=_default_pool(), max_restarts=0)
+    frames = ds.map_batches(VideoFrameSample(every_n=2),
+                            batch_format="pyarrow")
 
     def bright(b: pa.Table) -> pa.Table:
         from ..io.avtable import synth_frames
@@ -490,18 +488,17 @@ def video_frames(sf_dir: str):
 
 def video_scene_cuts(sf_dir: str):
     """Scene-cut rows over the synthetic AVI/MJPEG table: every clip's frames
-    decode in an actor pool, consecutive-frame mean-|Δ| marks the cut where
+    decode in a map task, consecutive-frame mean-|Δ| marks the cut where
     the clip's luminance cycle wraps (the synthetic clips contain exactly one
     such jump in their 6 frames — a deterministic detection target).  Only
     cut transitions are returned."""
     import ray.data as rd
 
     from ..io.avtable import ensure_video_table
-    from ..ops.multimodal import VideoSceneCuts, _default_pool
+    from ..ops.multimodal import VideoSceneCuts
 
     ds = rd.read_parquet(ensure_video_table(_sf_of(sf_dir)))
-    rows = ds.map_batches(VideoSceneCuts, batch_format="pyarrow",
-                          concurrency=_default_pool(), max_restarts=0)
+    rows = ds.map_batches(VideoSceneCuts(), batch_format="pyarrow")
     cuts = rows.filter(expr="is_cut")
 
     def check(b: pa.Table) -> pa.Table:
@@ -772,11 +769,10 @@ def images_augment(sf_dir: str):
 
     from ..io.imagetable import ensure_image_table
     from ..ops.dedup import _popcount64
-    from ..ops.multimodal import ImageAugment, _default_pool
+    from ..ops.multimodal import ImageAugment
 
     ds = rd.read_parquet(ensure_image_table(_sf_of(sf_dir)))
-    aug = ds.map_batches(ImageAugment, batch_format="pyarrow",
-                         concurrency=_default_pool(), max_restarts=0)
+    aug = ds.map_batches(ImageAugment(), batch_format="pyarrow")
 
     def rows(b: pa.Table) -> pa.Table:
         ham = _popcount64(b.column("orig_phash").to_numpy().astype(np.uint64)
@@ -878,11 +874,10 @@ def images_corpus_pipeline(sf_dir: str, bright_max_milli: int = 127_000):
 
     from ..io.imagetable import ensure_image_table
     from ..ops.joins import broadcast_semi_join
-    from ..ops.multimodal import ImagePrep, _default_pool
+    from ..ops.multimodal import ImagePrep
 
     ds = rd.read_parquet(ensure_image_table(_sf_of(sf_dir)))
-    prep = ds.map_batches(ImagePrep, batch_format="pyarrow",
-                          concurrency=_default_pool(), max_restarts=0)
+    prep = ds.map_batches(ImagePrep(), batch_format="pyarrow")
     # materialize the POST-decode integer rows once: two consumers follow
     # (keeper groupby, winner semi-join) and without this the whole decode
     # pass would re-execute for the second — the exact cost the fused stage
@@ -994,9 +989,9 @@ def embed_quantized_top10(sf_dir: str, k: int = 10):
 
 def images_jpeg_psnr(sf_dir: str, n: int = 500):
     """Lossy-codec per-row invariant (input_hint: "decoded-pixel allclose,
-    PSNR >= 40 dB for lossy"): the JPEG-encoded variant table decodes through
-    an actor-pool stage and every row reports its PSNR vs the regenerated
-    reference plus caption equality.  sf_dir is unused (the table is
+    PSNR >= 40 dB for lossy"): the JPEG-encoded variant table decodes in a
+    map task and every row reports its PSNR vs the regenerated reference plus
+    caption equality.  sf_dir is unused (the table is
     engine-synthesized like the flagship input)."""
     import ray.data as rd
 
@@ -1005,27 +1000,20 @@ def images_jpeg_psnr(sf_dir: str, n: int = 500):
 
     path = ensure_jpeg_table(n)
 
-    class JpegVerify:
-        def __call__(self, b: pa.Table) -> pa.Table:
-            vals = np.empty(b.num_rows)
-            cap_ok = np.empty(b.num_rows, dtype=bool)
-            for k, i, img, w, h, cok in iter_verify_rows(b):
-                vals[k] = psnr_db(img, _pixels(i, w, h))
-                cap_ok[k] = cok
-            return pa.table({
-                "image_id": b.column("image_id"),
-                "psnr_milli_db": pa.array(
-                    np.rint(vals * 1000).astype(np.int64)),
-                "psnr_ok": pa.array(vals >= PSNR_MIN_DB),
-                "caption_ok": pa.array(cap_ok)})
+    def jpeg_verify(b: pa.Table) -> pa.Table:
+        vals = np.empty(b.num_rows)
+        cap_ok = np.empty(b.num_rows, dtype=bool)
+        for k, i, img, w, h, cok in iter_verify_rows(b):
+            vals[k] = psnr_db(img, _pixels(i, w, h))
+            cap_ok[k] = cok
+        return pa.table({
+            "image_id": b.column("image_id"),
+            "psnr_milli_db": pa.array(np.rint(vals * 1000).astype(np.int64)),
+            "psnr_ok": pa.array(vals >= PSNR_MIN_DB),
+            "caption_ok": pa.array(cap_ok)})
 
-    # max_restarts=0: the serialized closure class is a constructor arg in the
-    # object store; restarts with such args can abort the raylet (ray#53727).
-    # batch_size=32: the table arrives as ONE parquet block; small batches are
-    # what actually spread the per-image python decode across the pool.
-    return rd.read_parquet(path).map_batches(
-        JpegVerify, concurrency=(2, 8), batch_size=32, batch_format="pyarrow",
-        max_restarts=0)
+    return rd.read_parquet(path).map_batches(jpeg_verify,
+                                             batch_format="pyarrow")
 
 
 def images_phash_dedup(sf_dir: str):
@@ -2130,42 +2118,6 @@ def docs_bpe_merges(sf_dir: str, n_merges: int = 8):
 
     ds = _read(sf_dir, "documents", ["text"])
     return learn_bpe_delta(ds, n_merges)
-
-
-def cell_join_customer_orders_bucketed(sf_dir: str, res: int = 3,
-                                       n_buckets: int = 8):
-    """The SAME cell join as cell_join_customer_orders, executed through the
-    clustered-table physical plan (ops.bucketed): both per-cell count tables
-    are written hive-bucketed by cellid hash ONCE (cached under /tmp like
-    the image tables), then joined bucket-by-bucket with ZERO shuffle —
-    each task reads one matching partition-directory pair and joins
-    locally.  Shares cell_join_customer_orders' oracle: identical values,
-    different physical plan — the pattern a 100 TB deployment uses when
-    many queries join on one cluster key."""
-    import os
-
-    from ray.data.aggregate import Count
-
-    from ..ops.bucketed import bucketed_join, write_bucketed
-
-    sf = _sf_of(sf_dir)
-    root = f"/tmp/dggsray_cache/bucketed_sf{sf}_res{res}"
-    cc = sized_groupby(_cell_rows(sf_dir, "customer", "c_custkey", res),
-                       "cellid", Count(alias_name="nc"))
-    oc = sized_groupby(_cell_rows(sf_dir, "orders", "o_orderkey", res),
-                       "cellid", Count(alias_name="no"))
-    pa_dir = write_bucketed(cc, "cellid", n_buckets,
-                            os.path.join(root, "cust"))
-    pb_dir = write_bucketed(oc, "cellid", n_buckets,
-                            os.path.join(root, "ord"))
-    joined = bucketed_join(pa_dir, pb_dir, on="cellid")
-
-    def mul(b: pa.Table) -> pa.Table:
-        pairs = pc.multiply(b.column("nc"), b.column("no"))
-        return pa.table({"cellid": b.column("cellid"),
-                         "n_pairs": pc.cast(pairs, pa.int64())})
-
-    return joined.map_batches(mul, batch_format="pyarrow")
 
 
 def docs_global_shuffle(sf_dir: str):

@@ -1,58 +1,7 @@
-"""Bucketed tables (`dggsray/ops/bucketed.py`): stable bucketing, idempotent
-writes, shuffle-free join equal to a hash join."""
+"""Stable hash bucketing (`ops/joins._split_by_key`), zip_with_index and
+sketch merge properties."""
 import numpy as np
 import pyarrow as pa
-import pytest
-
-
-class TestBucketed:
-    def test_join_equals_hash_join(self, ray_session, tmp_path):
-        import ray.data as rd
-        from dggsray.ops.bucketed import bucketed_join, write_bucketed
-        rng = np.random.default_rng(8)
-        a = pa.table({"k": pa.array(rng.integers(0, 300, 2_000),
-                                    type=pa.int64()),
-                      "va": pa.array(rng.integers(0, 100, 2_000),
-                                     type=pa.int64())})
-        b = pa.table({"k": pa.array(rng.integers(0, 300, 1_500),
-                                    type=pa.int64()),
-                      "vb": pa.array(rng.integers(0, 100, 1_500),
-                                     type=pa.int64())})
-        pa_dir, pb_dir = str(tmp_path / "a"), str(tmp_path / "b")
-        write_bucketed(rd.from_arrow(a).repartition(4), "k", 8, pa_dir)
-        write_bucketed(rd.from_arrow(b).repartition(3), "k", 8, pb_dir)
-        got = bucketed_join(pa_dir, pb_dir, on="k").to_pandas() \
-            .sort_values(["k", "va", "vb"]).reset_index(drop=True)
-        exp = a.join(b, keys="k", join_type="inner").to_pandas() \
-            .sort_values(["k", "va", "vb"]).reset_index(drop=True)
-        assert got[exp.columns.tolist()].equals(exp)
-
-    def test_string_keys_and_idempotent_write(self, ray_session, tmp_path):
-        import ray.data as rd
-        from dggsray.ops.bucketed import bucketed_join, write_bucketed
-        a = pa.table({"k": pa.array([f"u{i % 40}" for i in range(500)]),
-                      "va": pa.array(np.arange(500, dtype=np.int64))})
-        b = pa.table({"k": pa.array([f"u{i}" for i in range(40)]),
-                      "vb": pa.array(np.arange(40, dtype=np.int64))})
-        pa_dir, pb_dir = str(tmp_path / "a"), str(tmp_path / "b")
-        write_bucketed(rd.from_arrow(a), "k", 6, pa_dir)
-        write_bucketed(rd.from_arrow(a), "k", 6, pa_dir)  # idempotent
-        write_bucketed(rd.from_arrow(b), "k", 6, pb_dir)
-        got = bucketed_join(pa_dir, pb_dir, on="k")
-        assert got.count() == 500  # every left row matches exactly one right
-
-    def test_contract_mismatch_rejected(self, ray_session, tmp_path):
-        import ray.data as rd
-        from dggsray.ops.bucketed import bucketed_join, write_bucketed
-        t = pa.table({"k": pa.array(np.arange(50, dtype=np.int64)),
-                      "v": pa.array(np.arange(50, dtype=np.int64))})
-        pa_dir, pb_dir = str(tmp_path / "a"), str(tmp_path / "b")
-        write_bucketed(rd.from_arrow(t), "k", 4, pa_dir)
-        write_bucketed(rd.from_arrow(t), "k", 8, pb_dir)
-        with pytest.raises(ValueError):
-            bucketed_join(pa_dir, pb_dir, on="k")
-        with pytest.raises(ValueError):
-            write_bucketed(rd.from_arrow(t), "k", 16, pa_dir)
 
 
 class TestZipWithIndex:
@@ -99,29 +48,37 @@ class TestZipWithIndex:
 
 class TestBucketProperties:
     def test_bucket_hash_stable_and_spread(self):
+        """sized_groupby's key split: the same key always lands in the same
+        one of the n parts, and every row lands in exactly one."""
         from hypothesis import given, settings, strategies as st
-        from dggsray.ops.bucketed import _bucket_of
+        from dggsray.ops.joins import _split_by_key
 
         @settings(max_examples=60, deadline=None)
         @given(st.lists(st.integers(-2**62, 2**62), min_size=1,
                         max_size=300),
                st.sampled_from([2, 4, 8, 32]))
         def run(ids, n):
-            col = pa.array(np.array(ids, dtype=np.int64))
-            b1 = _bucket_of(col, n)
-            b2 = _bucket_of(col, n)
-            assert (b1 == b2).all()
-            assert ((b1 >= 0) & (b1 < n)).all()
+            t = pa.table({"k": pa.array(np.array(ids, dtype=np.int64))})
+            p1 = _split_by_key(t, "k", n)
+            p2 = _split_by_key(t, "k", n)
+            assert len(p1) == n
+            assert all(a.equals(b) for a, b in zip(p1, p2))
+            owner = {}
+            for i, part in enumerate(p1):
+                for k in part.column("k").to_pylist():
+                    assert owner.setdefault(k, i) == i
+            assert sum(part.num_rows for part in p1) == len(ids)
 
         run()
 
     def test_bucket_uniformity_large_sample(self):
-        from dggsray.ops.bucketed import _bucket_of
-        ids = pa.array(np.arange(80_000, dtype=np.int64))
-        b = _bucket_of(ids, 16)
-        counts = np.bincount(b, minlength=16)
-        # splitmix64 spread: every bucket within 10% of the mean
-        assert (abs(counts - 5000) < 500).all(), counts
+        from dggsray.ops.joins import _stable_hash
+        for ids in (pa.array(np.arange(80_000, dtype=np.int64)),
+                    pa.array([f"u{i}" for i in range(80_000)])):
+            b = (_stable_hash(ids) % np.uint64(16)).astype(np.int64)
+            counts = np.bincount(b, minlength=16)
+            # every bucket within 10% of the mean
+            assert (abs(counts - 5000) < 500).all(), counts
 
     def test_qsketch_weight_conserved_under_merge(self):
         from hypothesis import given, settings, strategies as st

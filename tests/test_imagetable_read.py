@@ -1,36 +1,15 @@
-"""read_image_table format dispatch: parquet tables read as Datasets, a
-.lance path without the lance package fails loudly naming the dependency,
-and scheme-qualified paths resolve through the register_filesystem seam
-(the same one rasters and cell tables use)."""
-import os
-
+"""The scheme seam of engine inputs (`core.raster.localize_path`, which
+`relational._read`, `io/storage` and `raster2dggs` call): scheme-qualified
+paths resolve through `register_filesystem`, and an unregistered scheme
+fails naming the seam."""
 import pytest
 
 
-def test_parquet_dispatch(ray_session):
-    from dggsray.io.imagetable import ensure_image_table, read_image_table
-    path = ensure_image_table(0.001)
-    ds = read_image_table(path, columns=["image_id", "w", "h"])
-    assert ds.count() > 0
-    assert set(ds.schema().names) == {"image_id", "w", "h"}
-
-
-def test_lance_loud_failure(ray_session, tmp_path):
-    from dggsray.io.imagetable import read_image_table
-    try:
-        import lance  # noqa: F401
-        pytest.skip("lance installed in this env; loud-failure path n/a")
-    except ImportError:
-        pass
-    d = tmp_path / "corpus.lance"
-    d.mkdir()
-    with pytest.raises(NotImplementedError, match="lance"):
-        read_image_table(str(d))
-
-
 def test_scheme_seam(ray_session):
-    from dggsray.core.raster import _FILESYSTEMS, register_filesystem
-    from dggsray.io.imagetable import ensure_image_table, read_image_table
+    import ray.data as rd
+    from dggsray.core.raster import (_FILESYSTEMS, localize_path,
+                                     register_filesystem)
+    from dggsray.io.imagetable import ensure_image_table
     local = ensure_image_table(0.001)
     calls = []
 
@@ -40,7 +19,8 @@ def test_scheme_seam(ray_session):
 
     register_filesystem("mock-img", fetch)
     try:
-        ds = read_image_table("mock-img://bucket/corpus", columns=["image_id"])
+        ds = rd.read_parquet(localize_path("mock-img://bucket/corpus"),
+                             columns=["image_id"])
         assert ds.count() > 0
         assert calls == ["mock-img://bucket/corpus"]
     finally:
@@ -48,6 +28,6 @@ def test_scheme_seam(ray_session):
 
 
 def test_unregistered_scheme_names_seam(ray_session):
-    from dggsray.io.imagetable import read_image_table
+    from dggsray.core.raster import localize_path
     with pytest.raises(NotImplementedError, match="register_filesystem"):
-        read_image_table("gs://bucket/corpus")
+        localize_path("gs://bucket/corpus")
