@@ -30,117 +30,141 @@ def write_cell_table(ds, path: str, meta: dict, fmt: str = "parquet",
                      partition_depth: int | None = None,
                      cell_col: str = "cellid"):
     """Dataset (or pyarrow Table) + metadata -> parquet/feather directory +
-    sidecar.  Feather (= Arrow IPC file) is written one file per block INSIDE
-    the map tasks — distributed, no driver materialization (reference feather
-    output: tests_data.py:325-326 via GeoDataFrame.to_feather).
+    sidecar.  One plain Ray task per block writes that block's own files,
+    named so that no other task or call can produce the same name; a table
+    can take several calls (reference feather output: tests_data.py:325-326
+    via GeoDataFrame.to_feather).  A pyarrow Table is one block.
 
-    partition_depth=N hive-partitions the parquet output by the cell-id
+    partition_depth=N hive-partitions the output by the cell-id
     prefix of length N+1 (face char + N digits) — the resumable-output
     layout for huge cell tables: each key-range directory is a unit a
     re-run can skip (`finished_partitions`), a reader can prune, and a
     downstream cell-keyed stage can consume shuffle-free.  The prefix
-    column is materialized per batch (vectorized slice) and dropped again
-    on read."""
+    lives only in the directory name (`cell_part=<prefix>/`)."""
     import pyarrow as pa
-    import pyarrow.feather as paf
-    import pyarrow.parquet as pq
+    import ray
 
-    os.makedirs(path, exist_ok=True)
-    if fmt == "parquet":
-        if partition_depth is not None:
-            import pyarrow.compute as pc
+    from ..ops.joins import _remote
 
-            def add_part(b: pa.Table) -> pa.Table:
-                part = pc.utf8_slice_codeunits(
-                    pc.cast(b.column(cell_col), pa.string()), 0,
-                    partition_depth + 1)
-                return b.append_column("cell_part", part)
-
-            if isinstance(ds, pa.Table):
-                import ray.data as rd
-                ds = rd.from_arrow(ds)
-            ds.map_batches(add_part, batch_format="pyarrow") \
-                .write_parquet(path, partition_cols=["cell_part"])
-        elif isinstance(ds, pa.Table):
-            pq.write_table(ds, os.path.join(path, "part-0.parquet"))
-        else:
-            ds.write_parquet(path)
-    elif fmt == "feather":
-        if isinstance(ds, pa.Table):
-            paf.write_feather(ds, os.path.join(path, "part-0.feather"))
-        else:
-            def write_block(b: pa.Table) -> pa.Table:
-                import uuid
-                name = f"part-{uuid.uuid4().hex}.feather"
-                paf.write_feather(b, os.path.join(path, name))
-                return pa.table({"file": pa.array([name], pa.string()),
-                                 "rows": pa.array([b.num_rows], pa.int64())})
-            manifest = ds.map_batches(write_block, batch_format="pyarrow",
-                                      batch_size=None).take_all()
-            with open(os.path.join(path, "_manifest.json"), "w") as f:
-                json.dump(sorted(r["file"] for r in manifest), f)
-    else:
+    if fmt not in ("parquet", "feather"):
         raise ValueError(f"unsupported format {fmt!r}")
+    os.makedirs(path, exist_ok=True)
+    refs = [ray.put(ds)] if isinstance(ds, pa.Table) else ds.to_arrow_refs()
+    task = _remote(_write_block)
+    args = (path, fmt, partition_depth, cell_col)
+    if refs and not sum(ray.get([task.remote(r, *args) for r in refs])):
+        _write_file(ray.get(refs[0]), path, fmt)   # an empty table's schema
     with open(os.path.join(path, "_meta.json"), "w") as f:
         json.dump({"spec": META_SPEC_URI, "attrs": meta, "format": fmt,
                    "partition_depth": partition_depth}, f, cls=_NpEncoder)
 
 
+def _write_block(block, path: str, fmt: str, partition_depth: int | None,
+                 cell_col: str) -> int:
+    """Task: one block -> its files under `path`; how many (none for 0
+    rows).  With a partition depth the block is sorted once by its cell-id
+    prefix and each run of one prefix goes to its own file under
+    `cell_part=<prefix>/`."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if block.num_rows == 0:
+        return 0
+    if partition_depth is None:
+        _write_file(block, path, fmt)
+        return 1
+    part = pc.utf8_slice_codeunits(pc.cast(block.column(cell_col), pa.string()),
+                                   0, partition_depth + 1).combine_chunks()
+    order = pc.sort_indices(part)
+    block = block.take(order)
+    runs = pc.run_end_encode(part.take(order))
+    start = 0
+    for prefix, end in zip(runs.values.to_pylist(),
+                           runs.run_ends.to_pylist()):
+        _write_file(block.slice(start, end - start),
+                    os.path.join(path, f"cell_part={prefix}"), fmt)
+        start = end
+    return len(runs.values)
+
+
+def _write_file(table, dirname: str, fmt: str):
+    """`table` -> a new uniquely named file in `dirname`."""
+    import uuid
+
+    import pyarrow.feather as paf
+    import pyarrow.parquet as pq
+
+    os.makedirs(dirname, exist_ok=True)
+    name = os.path.join(dirname, f"part-{uuid.uuid4().hex}.{fmt}")
+    if fmt == "feather":
+        paf.write_feather(table, name)
+    else:
+        pq.write_table(table, name)
+
+
 def finished_partitions(path: str) -> list[str]:
     """Cell-prefix partitions already present in a hive-partitioned cell
     table (directories `cell_part=<prefix>` containing at least one parquet
-    file) — the resume primitive: a restarted writer filters its input to
-    `~cellid.prefix in finished_partitions(out)` and appends only the
-    missing key ranges."""
+    or feather file) — the resume primitive: a restarted writer filters its
+    input to `~cellid.prefix in finished_partitions(out)` and appends only
+    the missing key ranges."""
     import glob
     out = []
     for d in sorted(glob.glob(os.path.join(path, "cell_part=*"))):
-        if glob.glob(os.path.join(d, "*.parquet")):
+        if glob.glob(os.path.join(d, "*.parquet")) or \
+                glob.glob(os.path.join(d, "*.feather")):
             out.append(os.path.basename(d).split("=", 1)[1])
     return out
 
 
 def read_cell_table(path: str):
     """-> (Dataset, meta dict); reads parquet or feather per the sidecar.
-    Scheme-qualified paths (s3://...) resolve through the same
+    The table's files (the hive layout's `cell_part=<prefix>/` ones too) are
+    split into at most one group per Ray CPU, of near-equal bytes, and one
+    plain Ray task reads each group into one block, with no partition
+    discovery.  Scheme-qualified paths (s3://...) resolve through the same
     register_filesystem seam as rasters — the fetcher localizes the whole
     table directory."""
     import glob
 
-    import ray.data as rd
+    import ray.data
 
     from ..core.raster import localize_path
+    from ..ops.joins import _remote, cluster_cpus
+
     path = localize_path(path)
     with open(os.path.join(path, "_meta.json")) as f:
         side = json.load(f)
-    meta = side["attrs"]
-    if side.get("format", "parquet") == "feather":
-        files = sorted(glob.glob(os.path.join(path, "*.feather")))
-        return _read_feather(files), meta
-    if side.get("partition_depth") is not None:
-        ds = rd.read_parquet(path)     # hive layout: ray derives cell_part
-        if "cell_part" in ds.schema().names:
-            ds = ds.drop_columns(["cell_part"])
-        return ds, meta
-    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
-    return rd.read_parquet(files), meta
+    fmt = side.get("format", "parquet")
+    files = sorted(glob.glob(os.path.join(glob.escape(path), "**",
+                                          f"*.{fmt}"), recursive=True))
+    task = _remote(_read_files)
+    return ray.data.from_arrow_refs([
+        task.remote(group, fmt)
+        for group in _size_groups(files, cluster_cpus())]), side["attrs"]
 
 
-def _read_feather(files: list[str]):
-    """Distributed feather read: binary-file source + per-task IPC decode
-    (Ray Data has no feather reader; feather v2 is the Arrow IPC file format,
-    so each task deserializes its file zero-copy)."""
+def _size_groups(files: list[str], n: int) -> list[list[str]]:
+    """`files` cut, in order, into at most `n` runs of near-equal bytes."""
+    sizes = np.array([os.path.getsize(f) for f in files], dtype=np.float64)
+    mid = np.cumsum(sizes) - sizes / 2
+    group = np.minimum((mid * n / max(sizes.sum(), 1.0)).astype(np.int64),
+                       n - 1)
+    cuts = np.flatnonzero(np.diff(group)) + 1
+    return [list(g) for g in np.split(np.array(files, dtype=object), cuts)
+            if len(g)]
+
+
+def _read_files(files: list[str], fmt: str):
+    """Task: cell-table files -> one block."""
     import pyarrow as pa
-    import ray.data as rd
+    import pyarrow.feather as paf
+    import pyarrow.parquet as pq
 
-    def decode(b: pa.Table) -> pa.Table:
-        import pyarrow.ipc as ipc
-        tabs = [ipc.open_file(pa.BufferReader(blob)).read_all()
-                for blob in b.column("bytes").to_pylist()]
-        return pa.concat_tables(tabs)
-
-    return rd.read_binary_files(files).map_batches(
-        decode, batch_format="pyarrow", batch_size=1)
+    if fmt == "feather":
+        return pa.concat_tables([paf.read_table(f) for f in files])
+    return pa.concat_tables([pq.read_table(f, partitioning=None)
+                             for f in files])
 
 
 def get_parquet_rhpx_metadata(path: str) -> dict:

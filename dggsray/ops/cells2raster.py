@@ -20,7 +20,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from ..core.rhpx import DEFAULT_GRID, GridConfig, cell_centroid, cell_ul_vertex
+from ..core.rhpx import (DEFAULT_GRID, GridConfig, _parse_cellids,
+                         cell_centroid, cell_ul_vertex)
 from .joins import join_partitions
 
 # Tile side (cells) in which perfbench's `cells2raster.tiles` metric counts
@@ -67,36 +68,38 @@ def meta_from_cells(cellids, grid: GridConfig = DEFAULT_GRID, nodata=None,
 def meta_from_cells_ds(ds, grid: GridConfig = DEFAULT_GRID,
                        cell_col: str = "cellid", nodata=None,
                        nbands: int = 1, dtype: str = "int16") -> dict:
-    """Distributed twin of `meta_from_cells`: per-block vertex-extent
-    partials folded by one in-plan Min/Max aggregate — the driver sees
-    five scalars, never the cellid column (which scales with the
-    raster)."""
-    import pyarrow as pa
-    from ray.data.aggregate import Max, Min
+    """Distributed twin of `meta_from_cells`: one plain Ray task per block
+    finds its vertex extent and resolution, and the driver folds those five
+    scalars per block — it never sees the cellid column (which scales with
+    the raster).  Raises ValueError on no cells or on mixed resolutions."""
+    import ray
 
-    def partial(b: pa.Table) -> pa.Table:
-        cells = b.column(cell_col)
-        if len(cells) == 0:
-            return pa.table({"_minx": pa.array([], pa.float64()),
-                             "_maxx": pa.array([], pa.float64()),
-                             "_miny": pa.array([], pa.float64()),
-                             "_maxy": pa.array([], pa.float64()),
-                             "_len": pa.array([], pa.int64())})
-        ulx, uly = cell_ul_vertex(cells, grid)
-        return pa.table({"_minx": [float(ulx.min())],
-                         "_maxx": [float(ulx.max())],
-                         "_miny": [float(uly.min())],
-                         "_maxy": [float(uly.max())],
-                         "_len": [len(cells[0].as_py())]})
+    from .joins import _remote
 
-    agg = ds.select_columns([cell_col]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .aggregate(Min("_minx"), Max("_maxx"), Min("_miny"), Max("_maxy"),
-                   Max("_len"))
-    return _meta_from_bounds(agg["min(_minx)"], agg["max(_maxx)"],
-                             agg["min(_miny)"], agg["max(_maxy)"],
-                             int(agg["max(_len)"]) - 1, grid, nodata,
-                             nbands, dtype)
+    task = _remote(_cells_extent)
+    parts = [p for p in ray.get([task.remote(ref, cell_col, grid)
+                                 for ref in ds.to_arrow_refs()])
+             if p is not None]
+    if not parts:
+        raise ValueError("meta_from_cells_ds: no cells")
+    minx, maxx, miny, maxy, res = np.array(parts).T
+    if len(set(res)) > 1:
+        raise ValueError(f"meta_from_cells_ds: mixed resolutions "
+                         f"{sorted(set(res.astype(int)))}")
+    return _meta_from_bounds(minx.min(), maxx.max(), miny.min(), maxy.max(),
+                             int(res[0]), grid, nodata, nbands, dtype)
+
+
+def _cells_extent(block: pa.Table, cell_col: str, grid: GridConfig):
+    """Task: (min x, max x, min y, max y) of a block's cell upper-left
+    vertices and its resolution (the codec width - 1); None for 0 rows."""
+    if block.num_rows == 0:
+        return None
+    face, col, row, res = _parse_cellids(block.column(cell_col), grid)
+    fx0, fytop = grid.face_origins()
+    w = grid.cell_width(res)
+    ulx, uly = fx0[face] + col * w, fytop[face] - row * w
+    return ulx.min(), ulx.max(), uly.min(), uly.max(), res
 
 
 def cells_to_raster_array(ds, meta: dict | None = None,

@@ -32,8 +32,17 @@ def join_partitions() -> int:
     """Hash-join partition count sized to the cluster: ~1 partition per CPU
     (floor 8).  A fixed 8 would serialize the probe side on a 256-node
     cluster; per-CPU keeps partitions ~constant-sized as the cluster grows."""
+    return max(8, cluster_cpus())
+
+
+def cluster_cpus() -> int:
+    """Ray's CPU count; the machine's before Ray starts."""
+    import os
+
     import ray
-    return max(8, int(ray.cluster_resources().get("CPU", 8)))
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
 
 
 # A driver-side dense map holds max(key)+1 entries.  Keys sparser than this

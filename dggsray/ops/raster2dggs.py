@@ -307,8 +307,11 @@ class ImageToCells:
 
 def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
                    store_nodata: bool = False, values_in_json: bool = False,
-                   add_uid: bool = False, tile: int = 512):
-    """Aligned rHEALPix raster (tile-row Dataset) -> cell table.
+                   add_uid: bool = False):
+    """Aligned rHEALPix raster (tile-row Dataset) -> cell table: one plain
+    Ray task per tile row, one output block per tile, returned through
+    `ray.data.from_arrow_refs` (which waits for every task).  Tile rows
+    place their pixels at (tile_row, tile_col) * meta["tile"].
 
     Vectorized re-expression of the reference's per-pixel double loop
     rhealpix_file_to_geodataframe (/root/reference/dggstools/rhpx/
@@ -317,104 +320,113 @@ def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
     all_bands JSON and uid columns.  The uid is a deterministic blake2b of
     (cellid, values) instead of uuid4 so retried tasks are idempotent
     (SURVEY.md section 4 stragglers row)."""
-    import json
+    import ray.data
 
-    res_idx = meta["res_idx"]
-    res = meta["res"]
-    left, top = meta["left"], meta["top"]
+    from .joins import _remote
+
+    task = _remote(_explode_tile)
+    return ray.data.from_arrow_refs([
+        task.remote(ref, k, meta, grid, store_nodata, values_in_json, add_uid)
+        for bundle in tiles_ds.iter_internal_ref_bundles()
+        for ref, block_meta in bundle.blocks
+        for k in range(block_meta.num_rows)])
+
+
+def _explode_tile(tiles: pa.Table, k: int, meta: dict, grid: GridConfig,
+                  store_nodata: bool, values_in_json: bool,
+                  add_uid: bool) -> pa.Table:
+    """Task: tile row `k` of a tile block -> its cell rows.  A tile with no
+    kept pixel gives a 0-row block with the same typed columns (the optional
+    all_bands/uuid included), so every block of the table shares one schema.
+    Calls `cell_from_point` through the module global (the tracer wraps it
+    there)."""
+    tr, tc, h, w = (tiles.column(c)[k].as_py()
+                    for c in ("tile_row", "tile_col", "h", "w"))
+    tile = meta.get("tile") or 0
+    if (tr or tc) and not tile:
+        raise ValueError("tile rows past (0, 0) need meta['tile'] to place "
+                         "their pixels")
     nbands = meta["nbands"]
-    dtype = np.dtype(meta["dtypes"][0])
+    res = meta["res"]
     ndvals = meta.get("nodatavals") or [None] * nbands
-
-    def explode(b: pa.Table) -> pa.Table:
-        outs = {"cellid": [], **{f"band{i+1}": [] for i in range(nbands)}}
-        ujson, uids = [], []
-        for k in range(b.num_rows):
-            tr = b.column("tile_row")[k].as_py()
-            tc = b.column("tile_col")[k].as_py()
-            h = b.column("h")[k].as_py()
-            w = b.column("w")[k].as_py()
-            arr = np.frombuffer(b.column("data")[k].as_py(), dtype=dtype) \
-                .reshape(nbands, h, w)
-            keep = np.zeros((h, w), dtype=bool)
-            for i in range(nbands):
-                nd = ndvals[i]
-                keep |= (arr[i] != nd) if nd is not None else np.ones((h, w), bool)
-            if store_nodata:
-                keep[:] = True
-            rr, cc = np.nonzero(keep)
-            if rr.size == 0:
-                continue
-            gr = rr + tr * tile
-            gc = cc + tc * tile
-            xs = left + (gc + 0.5) * res
-            ys = top - (gr + 0.5) * res
-            cells = cell_from_point(res_idx, xs, ys, grid)
-            ok = cells != ""
-            outs["cellid"].append(cellids_to_arrow(cells[ok], grid))
-            for i in range(nbands):
-                outs[f"band{i+1}"].append(arr[i][rr[ok], cc[ok]])
-        if not outs["cellid"]:
-            # the empty block must carry the SAME schema as populated ones
-            # (incl. the optional all_bands/uuid columns) or downstream
-            # schema unification breaks
-            schema = {"cellid": pa.array([], pa.string())}
-            for i in range(nbands):
-                schema[f"band{i+1}"] = pa.array([], pa.from_numpy_dtype(dtype))
-            if values_in_json:
-                schema["all_bands"] = pa.array([], pa.string())
-            if add_uid:
-                schema["uuid"] = pa.array([], pa.string())
-            return pa.table(schema)
-        cols = {"cellid": pa.concat_arrays(outs["cellid"])}
-        band_arrs = [np.concatenate(outs[f"band{i+1}"]) for i in range(nbands)]
-        for i in range(nbands):
-            cols[f"band{i+1}"] = pa.array(band_arrs[i])
-        if values_in_json:
-            cols["all_bands"] = pa.array(
-                [json.dumps({f"band{i+1}": band_arrs[i][j].item()
-                             for i in range(nbands)})
-                 for j in range(len(band_arrs[0]))], pa.string())
-        if add_uid:
-            import hashlib
-            cols["uuid"] = pa.array(
-                [hashlib.blake2b(
-                    (c + ":" + ",".join(str(band_arrs[i][j])
-                                        for i in range(nbands))).encode(),
-                    digest_size=16).hexdigest()
-                 for j, c in enumerate(cols["cellid"].to_pylist())], pa.string())
-        return pa.table(cols)
-
-    return tiles_ds.map_batches(explode, batch_format="pyarrow")
+    arr = np.frombuffer(tiles.column("data")[k].as_buffer(),
+                        np.dtype(meta["dtypes"][0])).reshape(nbands, h, w)
+    keep = np.full((h, w), store_nodata or None in ndvals)
+    if not keep.all():
+        for i, nd in enumerate(ndvals):
+            keep |= arr[i] != nd
+    rr, cc = np.nonzero(keep)
+    xs = meta["left"] + (cc + tc * tile + 0.5) * res
+    ys = meta["top"] - (rr + tr * tile + 0.5) * res
+    cells = cell_from_point(meta["res_idx"], xs, ys, grid)
+    ok = cells != ""
+    cols = {"cellid": cellids_to_arrow(cells[ok], grid)}
+    bands = [arr[i][rr[ok], cc[ok]] for i in range(nbands)]
+    for i, band in enumerate(bands):
+        cols[f"band{i+1}"] = pa.array(band)
+    if values_in_json:
+        import json
+        cols["all_bands"] = pa.array(
+            [json.dumps({f"band{i+1}": bands[i][j].item()
+                         for i in range(nbands)})
+             for j in range(len(cols["cellid"]))], pa.string())
+    if add_uid:
+        import hashlib
+        cols["uuid"] = pa.array(
+            [hashlib.blake2b(
+                (c + ":" + ",".join(str(bands[i][j])
+                                    for i in range(nbands))).encode(),
+                digest_size=16).hexdigest()
+             for j, c in enumerate(cols["cellid"].to_pylist())], pa.string())
+    return pa.table(cols)
 
 
-def geotiff_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID, tile: int = 512):
+# Pixels per tile row that geotiff_to_tiles cuts at most by default.
+MAX_TILE_PX = 512 * 512
+
+
+def geotiff_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID,
+                     tile: int | None = None):
     """Read a (small) aligned rHEALPix GeoTIFF into (tiles Dataset, meta) — the
-    file-path entry of the reference's ras-rhpx-to-vec-rhpx chain.  The raster is
-    chunked into tile rows so the explode runs distributed."""
+    file-path entry of the reference's ras-rhpx-to-vec-rhpx chain.  The raster
+    is cut into tile rows, one per block, so the explode runs distributed.
+    `tile` cuts tile x tile squares; by default the cuts are full-width strips
+    of one height (tile_col 0; the last may be shorter), about a multiple of
+    Ray's CPU count of them, each at most MAX_TILE_PX pixels, so the explode
+    runs as near-equal tasks.  meta["tile"] is the strip height or square
+    side."""
     import ray.data as rd
+
     from ..core.raster import open_raster
+    from .joins import cluster_cpus
 
     g = open_raster(path)
     nbands, H, W = g.data.shape
     res_idx, _ = grid.get_closest_resolution(abs(g.res_x))
     res_idx_y, _ = grid.get_closest_resolution(abs(g.res_y))
     assert res_idx == res_idx_y, f"{path}: cells are not squares"
+    if tile is None:
+        cpus = cluster_cpus()
+        units = cpus * math.ceil(H * W / (cpus * MAX_TILE_PX))
+        tile_h, tile_w = math.ceil(H / min(units, H)), W
+    else:
+        tile_h = tile_w = tile
     meta = {"left": g.left, "top": g.top,
             "right": g.left + W * g.res_x, "bottom": g.top - H * g.res_y,
             "height": H, "width": W, "res": g.res_x, "res_idx": res_idx,
             "nbands": nbands, "nodata": g.nodata,
             "nodatavals": [g.nodata] * nbands, "store_nodata": False,
             "dtypes": [g.data.dtype.name] * nbands,
-            "rhealpixdggs": grid.to_meta()}
+            "rhealpixdggs": grid.to_meta(), "tile": tile_h}
     rows = []
-    for tr in range(math.ceil(H / tile)):
-        for tc in range(math.ceil(W / tile)):
-            sub = g.data[:, tr * tile:(tr + 1) * tile, tc * tile:(tc + 1) * tile]
+    for tr in range(math.ceil(H / tile_h)):
+        for tc in range(math.ceil(W / tile_w)):
+            sub = g.data[:, tr * tile_h:(tr + 1) * tile_h,
+                         tc * tile_w:(tc + 1) * tile_w]
             rows.append({"tile_row": tr, "tile_col": tc,
                          "h": sub.shape[1], "w": sub.shape[2],
                          "data": np.ascontiguousarray(sub).tobytes()})
-    return rd.from_items(rows), meta
+    return rd.from_items(rows, override_num_blocks=len(rows)), meta
 
 
 def jp2_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
@@ -423,8 +435,7 @@ def jp2_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
     jp2_tile_spans_file — it never decodes, or even reads, the pixel
     payload); rows are tile byte spans, decoded inside downstream tasks by
     range reads.  No node ever holds the whole scene — the shape a 100 TB
-    scene archive needs.  Composes as
-    `tiles_to_cells(ds, meta, tile=meta["tile"])`."""
+    scene archive needs.  Composes as `tiles_to_cells(ds, meta)`."""
     import ray.data as rd
 
     from ..core import jp2io as J
@@ -481,8 +492,8 @@ def geotiff_to_tiles_spans(path: str, grid: GridConfig = DEFAULT_GRID):
     reads); each strip decompresses inside a downstream task from its own
     byte range (strips are whole-row units, the horizontal predictor is
     per-row, so strips never depend on each other).  Composes as
-    `tiles_to_cells(ds, meta, tile=meta["tile"])` — strip i is tile_row i,
-    tile_col 0, and `tile` = rows_per_strip keys the row offsets."""
+    `tiles_to_cells(ds, meta)` — strip i is tile_row i, tile_col 0, and
+    meta["tile"] = rows_per_strip keys the row offsets."""
     import ray.data as rd
 
     from ..core.raster import localize_path
@@ -531,8 +542,8 @@ def geotiff_tiled_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
     IFD (tiffio.geotiff_tile_spans); each tw x th tile decompresses inside
     a downstream task from its own byte range (tiles are independently
     compressed; the predictor differences per tile row).  Composes as
-    `tiles_to_cells(ds, meta, tile=meta["tile"])` with the natural 2-D
-    (tile_row, tile_col) keys.  Square tiles only (our writer and GDAL's
+    `tiles_to_cells(ds, meta)` with the natural 2-D (tile_row, tile_col)
+    keys.  Square tiles only (our writer and GDAL's
     default 256x256 both are)."""
     import ray.data as rd
 
@@ -588,7 +599,7 @@ def nc4_to_tiles(path: str, var: str | None = None,
     B-tree / object-header pages plus the tiny 1D coordinate variables;
     every data chunk decompresses inside a downstream task from its own
     byte range (HDF5 chunks are independent stored objects).  Composes as
-    `tiles_to_cells(ds, meta, tile=meta["tile"])`.  Scope: north-up
+    `tiles_to_cells(ds, meta)`.  Scope: north-up
     (descending y) 2D variables (leading dims size 1) with square chunks —
     everything else raises loudly; the whole-file open_raster path covers
     those shapes."""

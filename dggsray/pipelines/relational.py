@@ -2815,8 +2815,7 @@ def scene_jp2_cells(sf_dir: str):
     ref = _face_fingerprints(tiles_to_cells(tiles_a, meta_a,
                                             store_nodata=True))
     tiles_b, meta_b = jp2_to_tiles(jp2)
-    got = _face_fingerprints(tiles_to_cells(tiles_b, meta_b,
-                                            tile=meta_b["tile"]))
+    got = _face_fingerprints(tiles_to_cells(tiles_b, meta_b))
 
     m = ref.merge(got, on="face", how="outer", suffixes=("", "_jp2"))
     return pd.DataFrame({

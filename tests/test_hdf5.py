@@ -512,8 +512,7 @@ class TestChunkSpans:
                       chunk_index=cidx)
         tiles, meta = nc4_to_tiles(p, "band", G3)
         assert meta["res_idx"] == 11 and meta["tile"] == 32
-        got = tiles_to_cells(tiles, meta, G3, store_nodata=True,
-                             tile=meta["tile"]).to_pandas()
+        got = tiles_to_cells(tiles, meta, G3, store_nodata=True).to_pandas()
         tp = str(tmp_path / "ref.tif")
         write_geotiff(tp, GeoTiff(data[None], left, top, res, res,
                                   nodata=-9999))

@@ -382,8 +382,7 @@ class TestJp2ToCells:
         tiles_b, meta_b = jp2_to_tiles(p, G3)
         assert meta_b["res_idx"] == 11 and meta_b["tile"] == 64
         assert (meta_b["width"], meta_b["height"]) == (237, 128)
-        got = tiles_to_cells(tiles_b, meta_b, G3,
-                             tile=meta_b["tile"]).to_pandas()
+        got = tiles_to_cells(tiles_b, meta_b, G3).to_pandas()
 
         cols = ["cellid"] + [f"band{i+1}" for i in range(8)]
         a = ref[cols].sort_values("cellid").reset_index(drop=True)
@@ -409,8 +408,7 @@ class TestJp2ToCells:
 
         tiles_b, meta_b = jp2_to_tiles(p, G3)
         meta_b["nodatavals"] = meta_a["nodatavals"]
-        got = tiles_to_cells(tiles_b, meta_b, G3,
-                             tile=meta_b["tile"]).to_pandas()
+        got = tiles_to_cells(tiles_b, meta_b, G3).to_pandas()
         assert len(got) == len(ref) and 0 < len(got) < 237 * 128
         a = ref.sort_values("cellid").reset_index(drop=True)
         b = got[a.columns].sort_values("cellid").reset_index(drop=True)

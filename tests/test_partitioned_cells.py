@@ -89,3 +89,70 @@ class TestPartitionedCellTable:
         ds, _ = read_cell_table(out)
         assert sorted(ds.to_pandas().cellid) \
             == sorted(t.column("cellid").to_pylist())
+
+
+class TestCellTableLayouts:
+    def test_reads_tables_of_the_ray_data_writer(self, ray_session, tmp_path):
+        """Tables written by Ray Data's parquet writer (hive-partitioned by
+        an added cell_part column, and flat) read back with the same rows
+        and without a cell_part column."""
+        import json
+
+        import pyarrow.compute as pc
+        import ray
+        import ray.data as rd
+        from dggsray.io.storage import META_SPEC_URI, read_cell_table
+        t = _table()
+
+        def add_part(b: pa.Table) -> pa.Table:
+            return b.append_column("cell_part", pc.utf8_slice_codeunits(
+                b.column("cellid"), 0, 2))
+
+        for depth in (1, None):
+            out = str(tmp_path / f"cells{depth}")
+            ds = rd.from_arrow(t).repartition(3)
+            if depth is None:
+                ds.write_parquet(out)
+            else:
+                ds.map_batches(add_part, batch_format="pyarrow") \
+                    .write_parquet(out, partition_cols=["cell_part"])
+            with open(os.path.join(out, "_meta.json"), "w") as f:
+                json.dump({"spec": META_SPEC_URI, "attrs": {"res": 3},
+                           "format": "parquet", "partition_depth": depth}, f)
+            back, meta = read_cell_table(out)
+            got = pa.concat_tables(ray.get(back.to_arrow_refs()))
+            assert meta == {"res": 3}
+            assert got.column_names == ["cellid", "band1"]
+            assert sorted(zip(got.column("cellid").to_pylist(),
+                              got.column("band1").to_pylist())) \
+                == sorted(zip(t.column("cellid").to_pylist(),
+                              t.column("band1").to_pylist()))
+
+    def test_two_writes_into_one_table_keep_both(self, ray_session, tmp_path):
+        """A second write_cell_table call into the same table adds its files
+        next to the first call's, in every layout, even on shared prefixes."""
+        import glob
+
+        import ray
+        import ray.data as rd
+        from dggsray.io.storage import read_cell_table, write_cell_table
+        t = _table()
+        rows = sorted(zip(t.column("cellid").to_pylist(),
+                          t.column("band1").to_pylist()))
+        for fmt, depth in (("parquet", 1), ("parquet", None),
+                           ("feather", 1), ("feather", None)):
+            out = str(tmp_path / f"{fmt}{depth}")
+            write_cell_table(rd.from_arrow(t).repartition(2), out,
+                             {"res": 3}, fmt=fmt, partition_depth=depth)
+            files = set(glob.glob(os.path.join(out, "**", f"*.{fmt}"),
+                                  recursive=True))
+            write_cell_table(t, out, {"res": 3}, fmt=fmt,
+                             partition_depth=depth)
+            after = set(glob.glob(os.path.join(out, "**", f"*.{fmt}"),
+                                  recursive=True))
+            assert files < after
+            back, _ = read_cell_table(out)
+            got = pa.concat_tables(ray.get(back.to_arrow_refs()))
+            assert sorted(zip(got.column("cellid").to_pylist(),
+                              got.column("band1").to_pylist())) \
+                == sorted(rows + rows)

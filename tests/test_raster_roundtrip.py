@@ -225,8 +225,8 @@ class TestStripSpans:
         for store in (False, True):
             a = tiles_to_cells(tiles_a, meta_a, G3,
                                store_nodata=store).to_pandas()
-            b = tiles_to_cells(tiles_b, meta_b, G3, store_nodata=store,
-                               tile=meta_b["tile"]).to_pandas()
+            b = tiles_to_cells(tiles_b, meta_b, G3,
+                               store_nodata=store).to_pandas()
             a = a.sort_values("cellid").reset_index(drop=True)
             b = b[a.columns].sort_values("cellid").reset_index(drop=True)
             assert a.equals(b)
@@ -290,8 +290,8 @@ class TestTiledGeoTiff:
         for store in (False, True):
             a = tiles_to_cells(tiles_a, meta_a, G3,
                                store_nodata=store).to_pandas()
-            b = tiles_to_cells(tiles_b, meta_b, G3, store_nodata=store,
-                               tile=meta_b["tile"]).to_pandas()
+            b = tiles_to_cells(tiles_b, meta_b, G3,
+                               store_nodata=store).to_pandas()
             a = a.sort_values("cellid").reset_index(drop=True)
             b = b[a.columns].sort_values("cellid").reset_index(drop=True)
             assert a.equals(b)
@@ -367,3 +367,107 @@ class TestMetaFromCellsDistributed:
         got = meta_from_cells_ds(ds, nodata=-9999, dtype="int16")
         exp = meta_from_cells(np.array(cells), nodata=-9999, dtype="int16")
         assert got == exp
+
+    def test_empty_blocks_are_skipped(self, ray_session):
+        """0-row blocks (an all-nodata tile's) add nothing to the extent,
+        and a table with no cells at all raises."""
+        import ray.data as rd
+
+        from dggsray.ops.cells2raster import (meta_from_cells,
+                                              meta_from_cells_ds)
+        cells = [f"O{i}{j}" for i in range(9) for j in range(9)][3:40]
+
+        def block(cs):
+            return pa.table({"cellid": pa.array(cs, pa.string()),
+                             "band1": pa.array([1] * len(cs), pa.int16())})
+        ds = rd.from_arrow([block([]), block(cells[:20]), block([]),
+                            block(cells[20:])])
+        got = meta_from_cells_ds(ds, nodata=-9999, dtype="int16")
+        exp = meta_from_cells(np.array(cells), nodata=-9999, dtype="int16")
+        assert got == exp
+        with pytest.raises(ValueError, match="no cells"):
+            meta_from_cells_ds(rd.from_arrow([block([])]))
+
+
+@st.composite
+def _tiled_raster(draw):
+    """(res, i0, j0, tile, data, empty_tile): a 2-band int16 raster of res
+    cells in the equatorial band, nodata 0 on a random mask and on one whole
+    tile (tile None = the default CPU-sized strips)."""
+    res = draw(st.integers(min_value=4, max_value=9))
+    n = 3 ** res
+    tile = draw(st.sampled_from([None, 3, 5]))
+    h = draw(st.integers(min_value=1, max_value=17))
+    w = draw(st.integers(min_value=1, max_value=17))
+    i0 = draw(st.integers(min_value=n, max_value=2 * n - h))
+    j0 = draw(st.integers(min_value=0, max_value=4 * n - w))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = rng.integers(1, 30000, (2, h, w)).astype(np.int16)
+    data[:, rng.random((h, w)) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    th = tile or -(-h // min(4, h))      # conftest's Ray has 4 CPUs
+    tw = tile or w
+    empty = (draw(st.integers(0, -(-h // th) - 1)),
+             draw(st.integers(0, -(-w // tw) - 1)))
+    data[:, empty[0] * th:(empty[0] + 1) * th,
+         empty[1] * tw:(empty[1] + 1) * tw] = 0
+    return res, i0, j0, tile, data, empty
+
+
+class TestTiledRoundTripProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(raster=_tiled_raster(),
+           depth=st.sampled_from([None, 0, 2, 4]),
+           fmt=st.sampled_from(["parquet", "feather"]),
+           extras=st.booleans())
+    @example(raster=(5, 243, 0, None, np.zeros((2, 1, 1), np.int16), (0, 0)),
+             depth=2, fmt="parquet", extras=True)     # no cell at all
+    def test_geotiff_cells_table_raster_is_identity(self, ray_session, raster,
+                                                    depth, fmt, extras):
+        """geotiff -> tiles -> cells -> write -> read -> raster gives back
+        the source bit for bit; every block carries the full typed schema
+        (an all-nodata tile's 0-row block too); one cells block per tile, at
+        most one read block per Ray CPU; Ray warns of no schema change."""
+        import logging
+        import tempfile
+
+        import ray
+
+        from dggsray.io.storage import read_cell_table, write_cell_table
+        res, i0, j0, tile, data, _ = raster
+        cw = G3.cell_width(res)
+        schema = pa.schema(
+            [("cellid", pa.string()), ("band1", pa.int16()),
+             ("band2", pa.int16())]
+            + [("all_bands", pa.string()), ("uuid", pa.string())] * extras)
+
+        warned = []
+        handler = logging.Handler()
+        handler.emit = lambda r: warned.append(r.getMessage())
+        log = logging.getLogger(
+            "ray.data._internal.execution.streaming_executor_state")
+        log.addHandler(handler)
+        try:
+            with tempfile.TemporaryDirectory() as d:
+                src = os.path.join(d, "src.tif")
+                write_geotiff(src, GeoTiff(data, -2 * F + j0 * cw,
+                                           1.5 * F - i0 * cw, cw, cw,
+                                           nodata=0))
+                tiles, meta = geotiff_to_tiles(src, G3, tile)
+                cells = tiles_to_cells(tiles, meta, G3, values_in_json=extras,
+                                       add_uid=extras)
+                blocks = ray.get(cells.to_arrow_refs())
+                assert len(blocks) == tiles.count()
+                assert all(b.schema.equals(schema) for b in blocks)
+                assert min(b.num_rows for b in blocks) == 0
+                table = os.path.join(d, "cells")
+                write_cell_table(cells, table, meta, fmt=fmt,
+                                 partition_depth=depth)
+                back, stored = read_cell_table(table)
+                blocks = ray.get(back.to_arrow_refs())
+                assert 1 <= len(blocks) <= 4
+                assert all(b.schema.equals(schema) for b in blocks)
+                arr, _ = cells_to_raster_array(back, stored, G3)
+        finally:
+            log.removeHandler(handler)
+        assert arr.dtype == data.dtype and np.array_equal(arr, data)
+        assert not [m for m in warned if "different schema" in m]
