@@ -8,11 +8,18 @@ PostGIS remains out of scope (no network/DB in this environment)."""
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 
 META_SPEC_URI = "http://www.iaaa.es/geo2dggs/spec/1"
+
+# File bytes that read_cell_table puts in one block at most (about: a file
+# is never split).  A parquet cell table decodes to about twice its file
+# bytes (1.8x for perfbench's), so a block stays under Ray Data's 128 MiB
+# default target block size.
+READ_BLOCK_BYTES = 32 << 20
 
 
 class _NpEncoder(json.JSONEncoder):
@@ -30,10 +37,11 @@ def write_cell_table(ds, path: str, meta: dict, fmt: str = "parquet",
                      partition_depth: int | None = None,
                      cell_col: str = "cellid"):
     """Dataset (or pyarrow Table) + metadata -> parquet/feather directory +
-    sidecar.  One plain Ray task per block writes that block's own files,
-    named so that no other task or call can produce the same name; a table
-    can take several calls (reference feather output: tests_data.py:325-326
-    via GeoDataFrame.to_feather).  A pyarrow Table is one block.
+    sidecar.  One plain Ray task per block (`joins.per_block`, which streams
+    the blocks) writes that block's own files, named so that no other task
+    or call can produce the same name; a table can take several calls
+    (reference feather output: tests_data.py:325-326 via
+    GeoDataFrame.to_feather).  A pyarrow Table is one block.
 
     partition_depth=N hive-partitions the output by the cell-id
     prefix of length N+1 (face char + N digits) — the resumable-output
@@ -41,38 +49,34 @@ def write_cell_table(ds, path: str, meta: dict, fmt: str = "parquet",
     re-run can skip (`finished_partitions`), a reader can prune, and a
     downstream cell-keyed stage can consume shuffle-free.  The prefix
     lives only in the directory name (`cell_part=<prefix>/`)."""
-    import pyarrow as pa
-    import ray
-
-    from ..ops.joins import _remote
+    from ..ops.joins import per_block
 
     if fmt not in ("parquet", "feather"):
         raise ValueError(f"unsupported format {fmt!r}")
     os.makedirs(path, exist_ok=True)
-    refs = [ray.put(ds)] if isinstance(ds, pa.Table) else ds.to_arrow_refs()
-    task = _remote(_write_block)
-    args = (path, fmt, partition_depth, cell_col)
-    if refs and not sum(ray.get([task.remote(r, *args) for r in refs])):
-        _write_file(ray.get(refs[0]), path, fmt)   # an empty table's schema
+    written = per_block(ds, _write_block, path, fmt, partition_depth,
+                        cell_col)
+    if written and not sum(n for n, _ in written):
+        _write_file(written[0][1].empty_table(), path, fmt)  # keep the schema
     with open(os.path.join(path, "_meta.json"), "w") as f:
         json.dump({"spec": META_SPEC_URI, "attrs": meta, "format": fmt,
                    "partition_depth": partition_depth}, f, cls=_NpEncoder)
 
 
 def _write_block(block, path: str, fmt: str, partition_depth: int | None,
-                 cell_col: str) -> int:
-    """Task: one block -> its files under `path`; how many (none for 0
-    rows).  With a partition depth the block is sorted once by its cell-id
-    prefix and each run of one prefix goes to its own file under
-    `cell_part=<prefix>/`."""
+                 cell_col: str):
+    """Task: one block -> its files under `path`; (how many, its schema).
+    A 0-row block writes none.  With a partition depth the block is sorted
+    once by its cell-id prefix and each run of one prefix goes to its own
+    file under `cell_part=<prefix>/`."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     if block.num_rows == 0:
-        return 0
+        return 0, block.schema
     if partition_depth is None:
         _write_file(block, path, fmt)
-        return 1
+        return 1, block.schema
     part = pc.utf8_slice_codeunits(pc.cast(block.column(cell_col), pa.string()),
                                    0, partition_depth + 1).combine_chunks()
     order = pc.sort_indices(part)
@@ -84,7 +88,7 @@ def _write_block(block, path: str, fmt: str, partition_depth: int | None,
         _write_file(block.slice(start, end - start),
                     os.path.join(path, f"cell_part={prefix}"), fmt)
         start = end
-    return len(runs.values)
+    return len(runs.values), block.schema
 
 
 def _write_file(table, dirname: str, fmt: str):
@@ -120,9 +124,10 @@ def finished_partitions(path: str) -> list[str]:
 def read_cell_table(path: str):
     """-> (Dataset, meta dict); reads parquet or feather per the sidecar.
     The table's files (the hive layout's `cell_part=<prefix>/` ones too) are
-    split into at most one group per Ray CPU, of near-equal bytes, and one
-    plain Ray task reads each group into one block, with no partition
-    discovery.  Scheme-qualified paths (s3://...) resolve through the same
+    split into groups of near-equal bytes — one per Ray CPU, or more when
+    that would put over READ_BLOCK_BYTES of files in one — and one plain Ray
+    task reads each group into one block, with no partition discovery.
+    Scheme-qualified paths (s3://...) resolve through the same
     register_filesystem seam as rasters — the fetcher localizes the whole
     table directory."""
     import glob
@@ -138,15 +143,19 @@ def read_cell_table(path: str):
     fmt = side.get("format", "parquet")
     files = sorted(glob.glob(os.path.join(glob.escape(path), "**",
                                           f"*.{fmt}"), recursive=True))
+    sizes = np.array([os.path.getsize(f) for f in files], dtype=np.float64)
+    n = max(cluster_cpus(), math.ceil(sizes.sum() / READ_BLOCK_BYTES))
     task = _remote(_read_files)
     return ray.data.from_arrow_refs([
         task.remote(group, fmt)
-        for group in _size_groups(files, cluster_cpus())]), side["attrs"]
+        for group in _size_groups(files, sizes, n)]), side["attrs"]
 
 
-def _size_groups(files: list[str], n: int) -> list[list[str]]:
-    """`files` cut, in order, into at most `n` runs of near-equal bytes."""
-    sizes = np.array([os.path.getsize(f) for f in files], dtype=np.float64)
+def _size_groups(files: list[str], sizes: np.ndarray,
+                 n: int) -> list[list[str]]:
+    """`files` cut, in order, into at most `n` runs of near-equal bytes: a
+    run holds at most about total/n bytes plus one file, however uneven the
+    files are (a cut by file count would not bound it)."""
     mid = np.cumsum(sizes) - sizes / 2
     group = np.minimum((mid * n / max(sizes.sum(), 1.0)).astype(np.int64),
                        n - 1)

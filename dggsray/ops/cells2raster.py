@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..core.rhpx import (DEFAULT_GRID, GridConfig, _parse_cellids,
-                         cell_centroid, cell_ul_vertex)
+from ..core.rhpx import DEFAULT_GRID, GridConfig, cell_centroid, cell_ul_vertex
 from .joins import join_partitions
 
 # Tile side (cells) in which perfbench's `cells2raster.tiles` metric counts
@@ -69,16 +69,13 @@ def meta_from_cells_ds(ds, grid: GridConfig = DEFAULT_GRID,
                        cell_col: str = "cellid", nodata=None,
                        nbands: int = 1, dtype: str = "int16") -> dict:
     """Distributed twin of `meta_from_cells`: one plain Ray task per block
-    finds its vertex extent and resolution, and the driver folds those five
-    scalars per block — it never sees the cellid column (which scales with
-    the raster).  Raises ValueError on no cells or on mixed resolutions."""
-    import ray
+    (`joins.per_block`) finds its vertex extent and resolution, and the
+    driver folds those five scalars per block — it never sees the cellid
+    column (which scales with the raster).  Raises ValueError on no cells or
+    on mixed resolutions."""
+    from .joins import per_block
 
-    from .joins import _remote
-
-    task = _remote(_cells_extent)
-    parts = [p for p in ray.get([task.remote(ref, cell_col, grid)
-                                 for ref in ds.to_arrow_refs()])
+    parts = [p for p in per_block(ds, _cells_extent, cell_col, grid)
              if p is not None]
     if not parts:
         raise ValueError("meta_from_cells_ds: no cells")
@@ -95,10 +92,9 @@ def _cells_extent(block: pa.Table, cell_col: str, grid: GridConfig):
     vertices and its resolution (the codec width - 1); None for 0 rows."""
     if block.num_rows == 0:
         return None
-    face, col, row, res = _parse_cellids(block.column(cell_col), grid)
-    fx0, fytop = grid.face_origins()
-    w = grid.cell_width(res)
-    ulx, uly = fx0[face] + col * w, fytop[face] - row * w
+    cells = block.column(cell_col).combine_chunks()
+    ulx, uly = cell_ul_vertex(cells, grid)
+    res = pc.binary_length(cells)[0].as_py() - 1
     return ulx.min(), ulx.max(), uly.min(), uly.max(), res
 
 

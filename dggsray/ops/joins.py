@@ -305,6 +305,32 @@ def _remote(fn):
     return ray.remote(fn)
 
 
+def per_block(ds, fn, *args) -> list:
+    """[fn(block, *args) for each block of `ds`] as plain Ray tasks, in block
+    order; a pyarrow Table is one block.  The tasks start as Ray Data streams
+    the blocks out, at most two per CPU in flight, so the whole input never
+    has to sit in the object store at once."""
+    import ray
+
+    task = _remote(_on_arrow)
+    if isinstance(ds, pa.Table):
+        return ray.get([task.remote(fn, ds, *args)])
+    cap = 2 * cluster_cpus()
+    out = []
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, _ in bundle.blocks:
+            out.append(task.remote(fn, ref, *args))
+            if len(out) > cap:
+                ray.wait(out, num_returns=len(out) - cap)
+    return ray.get(out)
+
+
+def _on_arrow(fn, block, *args):
+    """Task: `fn` on `block` as a pyarrow Table."""
+    from ray.data.block import BlockAccessor
+    return fn(BlockAccessor.for_block(block).to_arrow(), *args)
+
+
 def _combine(keys, spec, *blocks: pa.Table) -> pa.Table:
     """Task: the final combine of `blocks` (partials of the same spec)."""
     return partial_again(keys, spec)(

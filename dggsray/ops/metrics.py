@@ -23,10 +23,11 @@ _SHORT_INTS = {"uint8", "uint16", "int8", "int16"}
 
 
 def raster_rmse(control_tiles, control_meta: dict, test, test_meta: dict,
-                every_rows: int = 1, every_cols: int = 1, band: int = 1,
-                tile: int = 512) -> tuple[float, float]:
-    """RMSE + bias between a control raster (tile Dataset) and a test raster
-    (in-memory (bands,H,W) array + meta, broadcast to every task).
+                every_rows: int = 1, every_cols: int = 1,
+                band: int = 1) -> tuple[float, float]:
+    """RMSE + bias between a control raster (tile Dataset, each row at its
+    (row0, col0) pixel offset) and a test raster (in-memory (bands,H,W)
+    array + meta, broadcast to every task).
 
     Reference semantics (rasterutils.py:197-265): strided control pixels, skip
     control/test nodata, short ints upcast before differencing, positional lookup
@@ -51,14 +52,13 @@ def raster_rmse(control_tiles, control_meta: dict, test, test_meta: dict,
         sb = 0.0
         n = 0
         for k in range(b.num_rows):
-            tr = b.column("tile_row")[k].as_py()
-            tc = b.column("tile_col")[k].as_py()
+            gr0 = b.column("row0")[k].as_py()
+            gc0 = b.column("col0")[k].as_py()
             h = b.column("h")[k].as_py()
             w = b.column("w")[k].as_py()
             arr = np.frombuffer(b.column("data")[k].as_py(),
                                 dtype=np.dtype(dtype)) \
                 .reshape(control_meta["nbands"], h, w)[bidx]
-            gr0, gc0 = tr * tile, tc * tile
             rows = np.arange((every_rows - gr0 % every_rows) % every_rows, h,
                              every_rows)
             cols = np.arange((every_cols - gc0 % every_cols) % every_cols, w,

@@ -310,8 +310,8 @@ def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
                    add_uid: bool = False):
     """Aligned rHEALPix raster (tile-row Dataset) -> cell table: one plain
     Ray task per tile row, one output block per tile, returned through
-    `ray.data.from_arrow_refs` (which waits for every task).  Tile rows
-    place their pixels at (tile_row, tile_col) * meta["tile"].
+    `ray.data.from_arrow_refs` (which waits for every task).  Each tile row
+    carries its own pixel offset (row0, col0) in the raster.
 
     Vectorized re-expression of the reference's per-pixel double loop
     rhealpix_file_to_geodataframe (/root/reference/dggstools/rhpx/
@@ -340,12 +340,8 @@ def _explode_tile(tiles: pa.Table, k: int, meta: dict, grid: GridConfig,
     all_bands/uuid included), so every block of the table shares one schema.
     Calls `cell_from_point` through the module global (the tracer wraps it
     there)."""
-    tr, tc, h, w = (tiles.column(c)[k].as_py()
-                    for c in ("tile_row", "tile_col", "h", "w"))
-    tile = meta.get("tile") or 0
-    if (tr or tc) and not tile:
-        raise ValueError("tile rows past (0, 0) need meta['tile'] to place "
-                         "their pixels")
+    row0, col0, h, w = (tiles.column(c)[k].as_py()
+                        for c in ("row0", "col0", "h", "w"))
     nbands = meta["nbands"]
     res = meta["res"]
     ndvals = meta.get("nodatavals") or [None] * nbands
@@ -356,8 +352,8 @@ def _explode_tile(tiles: pa.Table, k: int, meta: dict, grid: GridConfig,
         for i, nd in enumerate(ndvals):
             keep |= arr[i] != nd
     rr, cc = np.nonzero(keep)
-    xs = meta["left"] + (cc + tc * tile + 0.5) * res
-    ys = meta["top"] - (rr + tr * tile + 0.5) * res
+    xs = meta["left"] + (cc + col0 + 0.5) * res
+    ys = meta["top"] - (rr + row0 + 0.5) * res
     cells = cell_from_point(meta["res_idx"], xs, ys, grid)
     ok = cells != ""
     cols = {"cellid": cellids_to_arrow(cells[ok], grid)}
@@ -385,16 +381,13 @@ def _explode_tile(tiles: pa.Table, k: int, meta: dict, grid: GridConfig,
 MAX_TILE_PX = 512 * 512
 
 
-def geotiff_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID,
-                     tile: int | None = None):
+def geotiff_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
     """Read a (small) aligned rHEALPix GeoTIFF into (tiles Dataset, meta) — the
     file-path entry of the reference's ras-rhpx-to-vec-rhpx chain.  The raster
-    is cut into tile rows, one per block, so the explode runs distributed.
-    `tile` cuts tile x tile squares; by default the cuts are full-width strips
-    of one height (tile_col 0; the last may be shorter), about a multiple of
-    Ray's CPU count of them, each at most MAX_TILE_PX pixels, so the explode
-    runs as near-equal tasks.  meta["tile"] is the strip height or square
-    side."""
+    is cut into full-width strips of one height (the last may be shorter),
+    one tile row per block: a multiple of Ray's CPU count of them, each of
+    about MAX_TILE_PX pixels at most, so the explode runs as near-equal
+    tasks."""
     import ray.data as rd
 
     from ..core.raster import open_raster
@@ -405,27 +398,21 @@ def geotiff_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID,
     res_idx, _ = grid.get_closest_resolution(abs(g.res_x))
     res_idx_y, _ = grid.get_closest_resolution(abs(g.res_y))
     assert res_idx == res_idx_y, f"{path}: cells are not squares"
-    if tile is None:
-        cpus = cluster_cpus()
-        units = cpus * math.ceil(H * W / (cpus * MAX_TILE_PX))
-        tile_h, tile_w = math.ceil(H / min(units, H)), W
-    else:
-        tile_h = tile_w = tile
+    cpus = cluster_cpus()
+    units = cpus * math.ceil(H * W / (cpus * MAX_TILE_PX))
+    strip = math.ceil(H / min(units, H))
     meta = {"left": g.left, "top": g.top,
             "right": g.left + W * g.res_x, "bottom": g.top - H * g.res_y,
             "height": H, "width": W, "res": g.res_x, "res_idx": res_idx,
             "nbands": nbands, "nodata": g.nodata,
             "nodatavals": [g.nodata] * nbands, "store_nodata": False,
             "dtypes": [g.data.dtype.name] * nbands,
-            "rhealpixdggs": grid.to_meta(), "tile": tile_h}
+            "rhealpixdggs": grid.to_meta()}
     rows = []
-    for tr in range(math.ceil(H / tile_h)):
-        for tc in range(math.ceil(W / tile_w)):
-            sub = g.data[:, tr * tile_h:(tr + 1) * tile_h,
-                         tc * tile_w:(tc + 1) * tile_w]
-            rows.append({"tile_row": tr, "tile_col": tc,
-                         "h": sub.shape[1], "w": sub.shape[2],
-                         "data": np.ascontiguousarray(sub).tobytes()})
+    for row0 in range(0, H, strip):
+        sub = g.data[:, row0:row0 + strip]
+        rows.append({"row0": row0, "col0": 0, "h": sub.shape[1], "w": W,
+                     "data": np.ascontiguousarray(sub).tobytes()})
     return rd.from_items(rows, override_num_blocks=len(rows)), meta
 
 
@@ -445,8 +432,8 @@ def jp2_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
     header, spans, cs, geo = J.jp2_tile_spans_file(path)
     if cs.XT != cs.YT:
         raise NotImplementedError(
-            f"non-square JP2 tiles {cs.XT}x{cs.YT} (tiles_to_cells keys "
-            "pixel offsets on one tile edge)")
+            f"non-square JP2 tiles {cs.XT}x{cs.YT} (meta['tile'] holds one "
+            "tile edge)")
     res_x = geo.get("res_x", 1.0)
     res_idx, _ = grid.get_closest_resolution(abs(res_x))
     res_idx_y, _ = grid.get_closest_resolution(abs(geo.get("res_y", res_x)))
@@ -462,12 +449,10 @@ def jp2_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
             "dtypes": [dt.name] * cs.ncomp,
             "rhealpixdggs": grid.to_meta(), "tile": cs.XT}
     dc = 0 if cs.signed else 1 << (cs.depth - 1)
-    XT = cs.XT
 
     def decode(b: pa.Table) -> pa.Table:
         # closure ships the ~100-byte main header + the path, never pixels
-        rows = {"tile_row": [], "tile_col": [], "h": [], "w": [],
-                "data": []}
+        rows = {"row0": [], "col0": [], "h": [], "w": [], "data": []}
         starts = b.column("start").to_pylist()
         ends = b.column("end").to_pylist()
         with open(path, "rb") as f:
@@ -475,8 +460,8 @@ def jp2_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
                 f.seek(st)
                 comps, (x0, y0) = J.decode_jp2_tile(header, f.read(en - st))
                 px = np.stack([c + dc for c in comps]).astype(dt)
-                rows["tile_row"].append(y0 // XT)
-                rows["tile_col"].append(x0 // XT)
+                rows["row0"].append(y0)
+                rows["col0"].append(x0)
                 rows["h"].append(px.shape[1])
                 rows["w"].append(px.shape[2])
                 rows["data"].append(px.tobytes())
@@ -492,8 +477,7 @@ def geotiff_to_tiles_spans(path: str, grid: GridConfig = DEFAULT_GRID):
     reads); each strip decompresses inside a downstream task from its own
     byte range (strips are whole-row units, the horizontal predictor is
     per-row, so strips never depend on each other).  Composes as
-    `tiles_to_cells(ds, meta)` — strip i is tile_row i, tile_col 0, and
-    meta["tile"] = rows_per_strip keys the row offsets."""
+    `tiles_to_cells(ds, meta)`; meta["tile"] is rows_per_strip."""
     import ray.data as rd
 
     from ..core.raster import localize_path
@@ -517,7 +501,7 @@ def geotiff_to_tiles_spans(path: str, grid: GridConfig = DEFAULT_GRID):
             "tile": smeta["rows_per_strip"]}
 
     def decode(b: pa.Table) -> pa.Table:
-        rows = {"tile_row": [], "tile_col": [], "h": [], "w": [], "data": []}
+        rows = {"row0": [], "col0": [], "h": [], "w": [], "data": []}
         with open(path, "rb") as f:
             for k in range(b.num_rows):
                 off = b.column("offset")[k].as_py()
@@ -525,8 +509,8 @@ def geotiff_to_tiles_spans(path: str, grid: GridConfig = DEFAULT_GRID):
                 nr = b.column("rows")[k].as_py()
                 f.seek(off)
                 px = decode_geotiff_strip(smeta, f.read(cnt), nr)
-                rows["tile_row"].append(b.column("strip")[k].as_py())
-                rows["tile_col"].append(0)
+                rows["row0"].append(b.column("row0")[k].as_py())
+                rows["col0"].append(0)
                 rows["h"].append(nr)
                 rows["w"].append(W)
                 rows["data"].append(px.tobytes())
@@ -542,9 +526,8 @@ def geotiff_tiled_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
     IFD (tiffio.geotiff_tile_spans); each tw x th tile decompresses inside
     a downstream task from its own byte range (tiles are independently
     compressed; the predictor differences per tile row).  Composes as
-    `tiles_to_cells(ds, meta)` with the natural 2-D (tile_row, tile_col)
-    keys.  Square tiles only (our writer and GDAL's
-    default 256x256 both are)."""
+    `tiles_to_cells(ds, meta)` with the tiles' 2-D (row0, col0) offsets.
+    Square tiles only (our writer and GDAL's default 256x256 both are)."""
     import ray.data as rd
 
     from ..core.raster import localize_path
@@ -569,10 +552,9 @@ def geotiff_tiled_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
             "dtypes": [np.dtype(smeta["dtype"]).name] * nbands,
             "rhealpixdggs": grid.to_meta(),
             "tile": smeta["tile_w"]}
-    tsz = smeta["tile_w"]
 
     def decode(b: pa.Table) -> pa.Table:
-        rows = {"tile_row": [], "tile_col": [], "h": [], "w": [], "data": []}
+        rows = {"row0": [], "col0": [], "h": [], "w": [], "data": []}
         with open(path, "rb") as f:
             for k in range(b.num_rows):
                 off = b.column("offset")[k].as_py()
@@ -581,8 +563,8 @@ def geotiff_tiled_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
                 nc = b.column("cols")[k].as_py()
                 f.seek(off)
                 px = decode_geotiff_tile(smeta, f.read(cnt))[:, :nr, :nc]
-                rows["tile_row"].append(b.column("row0")[k].as_py() // tsz)
-                rows["tile_col"].append(b.column("col0")[k].as_py() // tsz)
+                rows["row0"].append(b.column("row0")[k].as_py())
+                rows["col0"].append(b.column("col0")[k].as_py())
                 rows["h"].append(nr)
                 rows["w"].append(nc)
                 rows["data"].append(np.ascontiguousarray(px).tobytes())
@@ -657,7 +639,7 @@ def nc4_to_tiles(path: str, var: str | None = None,
     nc.close()
 
     def decode(b: pa.Table) -> pa.Table:
-        rows = {"tile_row": [], "tile_col": [], "h": [], "w": [], "data": []}
+        rows = {"row0": [], "col0": [], "h": [], "w": [], "data": []}
         with open(path, "rb") as f:
             for k in range(b.num_rows):
                 coords = b.column("coords")[k].as_py()
@@ -669,8 +651,8 @@ def nc4_to_tiles(path: str, var: str | None = None,
                 row0, col0 = int(coords[-2]), int(coords[-1])
                 h = min(tile, H - row0)
                 w = min(tile, W - col0)
-                rows["tile_row"].append(row0 // tile)
-                rows["tile_col"].append(col0 // tile)
+                rows["row0"].append(row0)
+                rows["col0"].append(col0)
                 rows["h"].append(h)
                 rows["w"].append(w)
                 rows["data"].append(

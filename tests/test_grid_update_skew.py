@@ -53,7 +53,7 @@ class TestUpdate:
         arr, _ = cells_to_raster_array(ds, meta=meta)
         arr2 = arr.copy()
         arr2[arr2 != -9999] += 100      # the "modified raster"
-        tiles = rd.from_items([{"tile_row": 0, "tile_col": 0,
+        tiles = rd.from_items([{"row0": 0, "col0": 0,
                                 "h": meta["height"], "w": meta["width"],
                                 "data": arr2.tobytes()}])
         updated = update_cells_from_tiles(ds, tiles, meta, G3).to_pandas()

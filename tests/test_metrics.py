@@ -25,7 +25,7 @@ def _square(lon, lat, he):
 class TestRasterRmse:
     def _tiles(self, arr, meta):
         import ray.data as rd
-        return rd.from_items([{"tile_row": 0, "tile_col": 0,
+        return rd.from_items([{"row0": 0, "col0": 0,
                                "h": meta["height"], "w": meta["width"],
                                "data": arr.tobytes()}])
 

@@ -156,3 +156,32 @@ class TestCellTableLayouts:
             assert sorted(zip(got.column("cellid").to_pylist(),
                               got.column("band1").to_pylist())) \
                 == sorted(rows + rows)
+
+    def test_read_blocks_stay_under_the_byte_bound(self, ray_session,
+                                                   tmp_path, monkeypatch):
+        """A table with more than READ_BLOCK_BYTES of files per Ray CPU
+        reads as more blocks than CPUs, none much over the bound; input
+        blocks in pandas format write unchanged."""
+        import glob
+
+        import ray
+        import ray.data as rd
+        from dggsray.io import storage
+        t = _table(n=2000)
+        out = str(tmp_path / "cells")
+        ds = rd.from_arrow(t).repartition(20).map_batches(
+            lambda df: df, batch_format="pandas")
+        storage.write_cell_table(ds, out, {"res": 3}, partition_depth=None)
+        sizes = [os.path.getsize(f)
+                 for f in glob.glob(os.path.join(out, "*.parquet"))]
+        monkeypatch.setattr(storage, "READ_BLOCK_BYTES", sum(sizes) // 10)
+        back, _ = storage.read_cell_table(out)
+        blocks = ray.get(back.to_arrow_refs())
+        assert 10 <= len(blocks) <= len(sizes) == 20
+        # near-equal bytes: a tenth of the rows, give or take one file's 100
+        assert max(b.num_rows for b in blocks) <= 2000 // 10 + 100
+        got = pa.concat_tables(blocks)
+        assert sorted(zip(got.column("cellid").to_pylist(),
+                          got.column("band1").to_pylist())) \
+            == sorted(zip(t.column("cellid").to_pylist(),
+                          t.column("band1").to_pylist()))

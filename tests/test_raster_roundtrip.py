@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from dggsray.core.rhpx import F, GridConfig, cell_from_point
 from dggsray.core.tiffio import GeoTiff, read_geotiff, write_geotiff
 from dggsray.ops.cells2raster import cells_to_raster_array, meta_from_cells
-from dggsray.ops.raster2dggs import geotiff_to_tiles, tiles_to_cells
+from dggsray.ops.raster2dggs import (geotiff_tiled_to_tiles, geotiff_to_tiles,
+                                     tiles_to_cells)
 
 G3 = GridConfig(3, 1, 0)
 REF = "/root/reference/tests/test_data"
@@ -108,7 +109,7 @@ class TestRoundtrip:
         arr, _ = cells_to_raster_array(ds, meta=meta)
         # back: raster tiles -> cells
         import ray.data as rd2
-        rows = [{"tile_row": 0, "tile_col": 0, "h": meta["height"],
+        rows = [{"row0": 0, "col0": 0, "h": meta["height"],
                  "w": meta["width"], "data": arr.tobytes()}]
         back = tiles_to_cells(rd2.from_items(rows), meta, G3).to_pandas()
         back_map = dict(zip(back.cellid, back.band1))
@@ -389,28 +390,31 @@ class TestMetaFromCellsDistributed:
             meta_from_cells_ds(rd.from_arrow([block([])]))
 
 
+TILED_EDGE = 16      # the smallest tile edge a tiled GeoTIFF may have
+
+
 @st.composite
 def _tiled_raster(draw):
-    """(res, i0, j0, tile, data, empty_tile): a 2-band int16 raster of res
-    cells in the equatorial band, nodata 0 on a random mask and on one whole
-    tile (tile None = the default CPU-sized strips)."""
+    """(res, i0, j0, tiled, data): a 2-band int16 raster of res cells in the
+    equatorial band, nodata 0 on a random mask and on one whole tile — a
+    strip of geotiff_to_tiles' CPU-sized cut, or (tiled) one 16 px tile of a
+    tiled GeoTIFF, whose tile rows carry 2-D (row0, col0) offsets."""
     res = draw(st.integers(min_value=4, max_value=9))
     n = 3 ** res
-    tile = draw(st.sampled_from([None, 3, 5]))
-    h = draw(st.integers(min_value=1, max_value=17))
-    w = draw(st.integers(min_value=1, max_value=17))
+    tiled = draw(st.booleans())
+    h = draw(st.integers(min_value=1, max_value=40))
+    w = draw(st.integers(min_value=1, max_value=40))
     i0 = draw(st.integers(min_value=n, max_value=2 * n - h))
     j0 = draw(st.integers(min_value=0, max_value=4 * n - w))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     data = rng.integers(1, 30000, (2, h, w)).astype(np.int16)
     data[:, rng.random((h, w)) < draw(st.sampled_from([0.0, 0.3]))] = 0
-    th = tile or -(-h // min(4, h))      # conftest's Ray has 4 CPUs
-    tw = tile or w
-    empty = (draw(st.integers(0, -(-h // th) - 1)),
-             draw(st.integers(0, -(-w // tw) - 1)))
-    data[:, empty[0] * th:(empty[0] + 1) * th,
-         empty[1] * tw:(empty[1] + 1) * tw] = 0
-    return res, i0, j0, tile, data, empty
+    # conftest's Ray has 4 CPUs
+    th, tw = (TILED_EDGE, TILED_EDGE) if tiled else (-(-h // min(4, h)), w)
+    er = draw(st.integers(0, -(-h // th) - 1))
+    ec = draw(st.integers(0, -(-w // tw) - 1))
+    data[:, er * th:(er + 1) * th, ec * tw:(ec + 1) * tw] = 0
+    return res, i0, j0, tiled, data
 
 
 class TestTiledRoundTripProperty:
@@ -419,7 +423,7 @@ class TestTiledRoundTripProperty:
            depth=st.sampled_from([None, 0, 2, 4]),
            fmt=st.sampled_from(["parquet", "feather"]),
            extras=st.booleans())
-    @example(raster=(5, 243, 0, None, np.zeros((2, 1, 1), np.int16), (0, 0)),
+    @example(raster=(5, 243, 0, False, np.zeros((2, 1, 1), np.int16)),
              depth=2, fmt="parquet", extras=True)     # no cell at all
     def test_geotiff_cells_table_raster_is_identity(self, ray_session, raster,
                                                     depth, fmt, extras):
@@ -433,7 +437,7 @@ class TestTiledRoundTripProperty:
         import ray
 
         from dggsray.io.storage import read_cell_table, write_cell_table
-        res, i0, j0, tile, data, _ = raster
+        res, i0, j0, tiled, data = raster
         cw = G3.cell_width(res)
         schema = pa.schema(
             [("cellid", pa.string()), ("band1", pa.int16()),
@@ -451,8 +455,10 @@ class TestTiledRoundTripProperty:
                 src = os.path.join(d, "src.tif")
                 write_geotiff(src, GeoTiff(data, -2 * F + j0 * cw,
                                            1.5 * F - i0 * cw, cw, cw,
-                                           nodata=0))
-                tiles, meta = geotiff_to_tiles(src, G3, tile)
+                                           nodata=0),
+                              tile_size=TILED_EDGE if tiled else None)
+                tiles, meta = (geotiff_tiled_to_tiles if tiled
+                               else geotiff_to_tiles)(src, G3)
                 cells = tiles_to_cells(tiles, meta, G3, values_in_json=extras,
                                        add_uid=extras)
                 blocks = ray.get(cells.to_arrow_refs())
