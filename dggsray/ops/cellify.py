@@ -1,13 +1,14 @@
-"""Point -> cell encoding and cell-keyed regrid aggregation as Ray Data stages.
+"""Point -> cell encoding (a Ray Data stage) and cell-keyed regrid aggregation.
 
 These are the engine's generalization of the reference's per-pixel
 cell_from_point loop (/root/reference/dggstools/rhpx/rhpx_gdf_helper.py:85-118) to
 arbitrary point tables, plus the majority/mean cell aggregation of the target
-north_star.  All kernels are zero-copy Arrow in / Arrow out, and every
-aggregation is one ops.joins.sized_groupby call, whose per-block partials move
-one row per (cell, block) instead of one per input row.  The majority's
-per-cell argmax then runs inside each output block of that call, which holds
-all rows of its cells.
+north_star.  All kernels are zero-copy Arrow in / Arrow out.  Each regrid is
+one ops.joins.sized_groupby call and runs in plain Ray tasks: the coarsening
+runs on each input block inside its partial task, whose partial moves one row
+per (cell, block) instead of one per input row, and the mean's division or
+the majority's per-cell argmax runs on each output block inside its combine
+task, which holds all rows of its cells.
 """
 from __future__ import annotations
 
@@ -36,40 +37,37 @@ def with_cellid(ds, lon_col: str, lat_col: str, res: int,
         batch_format="pyarrow", batch_size=batch_size)
 
 
-def _at_resolution(ds, cell_col: str, res: int | None):
-    """Coarsen the cell column to `res` (the identity when res is None);
-    cells already coarser than `res` pass through unchanged."""
+def _at_resolution(b: pa.Table, cell_col: str, res: int | None) -> pa.Table:
+    """Block `b` with its cell column coarsened to `res` (the identity when
+    res is None); cells already coarser than `res` pass through unchanged."""
     if res is None:
-        return ds
-
-    def coarsen(b: pa.Table) -> pa.Table:
-        cells = pc.utf8_slice_codeunits(b.column(cell_col), 0, res + 1)
-        return b.set_column(b.schema.get_field_index(cell_col), cell_col, cells)
-
-    return ds.map_batches(coarsen, batch_format="pyarrow")
+        return b
+    cells = pc.utf8_slice_codeunits(b.column(cell_col), 0, res + 1)
+    return b.set_column(b.schema.get_field_index(cell_col), cell_col, cells)
 
 
 def regrid_mean(ds, value_col: str, res: int | None = None,
                 cell_col: str = "cellid", out_col: str = "mean_value"):
     """Mean of the non-null values per (optionally coarsened) cell, with their
-    count `n`: one sized_groupby (Sum + non-null Count), then sum/count.  Its
-    per-block partial collapses hot cells inside every block before any
+    count `n`: one sized_groupby (Sum + non-null Count) that coarsens each
+    block before its partial and divides sum by count in each output block.
+    Its per-block partial collapses hot cells inside every block before any
     exchange, which is what makes skewed groupbys safe (SURVEY.md section 4
-    skew row)."""
+    skew row).  An empty input gives 0 rows of (cell_col, out_col, n)."""
     from ray.data.aggregate import Count, Sum
 
     from .joins import sized_groupby
-    agg = sized_groupby(_at_resolution(ds, cell_col, res), cell_col,
-                        Sum(value_col, alias_name="_sum"),
-                        Count(value_col, ignore_nulls=True,
-                              alias_name="_count"))
 
     def finalize(b: pa.Table) -> pa.Table:
         mean = pc.divide(b.column("_sum"), pc.cast(b.column("_count"), pa.float64()))
         return pa.table({cell_col: b.column(cell_col), out_col: mean,
                          "n": b.column("_count")})
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return sized_groupby(ds, cell_col, Sum(value_col, alias_name="_sum"),
+                         Count(value_col, ignore_nulls=True,
+                               alias_name="_count"),
+                         before=lambda b: _at_resolution(b, cell_col, res),
+                         after=finalize)
 
 
 def regrid_majority(ds, value_col: str, res: int | None = None,
@@ -77,55 +75,54 @@ def regrid_majority(ds, value_col: str, res: int | None = None,
     """Majority (mode) value per (optionally coarsened) cell, with its count
     `n`; ties break to the smallest value (matching a deterministic SQL
     oracle: ORDER BY cnt DESC, value ASC LIMIT 1 per cell).  One
-    sized_groupby counts each (cell, value), then `_argmax_by_score` picks
-    per cell inside each of its blocks.  The value column must hold
-    integers in [-2^20, 2^20) (class ids, nation keys, burn values, nodata
-    sentinels); map strings to ids with vector2dggs.feature_class_values
-    first.  Anything else raises."""
+    sized_groupby counts each (cell, value) of the coarsened blocks, then
+    `_argmax_by_score` picks per cell in each output block.  The value
+    column must hold integers in [-2^20, 2^20) (class ids, nation keys,
+    burn values, nodata sentinels); map strings to ids with
+    vector2dggs.feature_class_values first.  Anything else raises.  An empty
+    input gives 0 rows of (cell_col, out_col, n)."""
     from ray.data.aggregate import Count
 
     from .joins import sized_groupby
-    counts = sized_groupby(_at_resolution(ds, cell_col, res),
-                           [cell_col, value_col], Count(alias_name="_cnt"))
-    return _argmax_by_score(counts, cell_col, value_col, out_col)
+    return sized_groupby(
+        ds, [cell_col, value_col], Count(alias_name="_cnt"),
+        before=lambda b: _at_resolution(b, cell_col, res),
+        after=lambda b: _argmax_by_score(b, cell_col, value_col, out_col))
 
 
 _MAJ_K = 1 << 21     # value universe for the packed argmax score
 _MAJ_BIAS = 1 << 20  # shift so signed sentinels (e.g. -1 nodata) qualify
 
 
-def _argmax_by_score(counts, cell_col: str, value_col: str, out_col: str):
-    """Per-cell argmax(cnt desc, value asc) over (cell, value, _cnt) rows,
-    inside each block: sized_groupby puts all rows of a cell in one block.
-    score = cnt * K + (K-1-(value+BIAS)) packs the comparison into a single
-    int64, so one Arrow group_by Max per block picks every cell's winner
-    with no per-group Python call.  Integer values only: a non-integer
-    value column raises TypeError and a value outside [-2^20, 2^20) raises
-    ValueError.  Per-(cell, value) counts must stay below 2^42."""
-    def argmax(b: pa.Table) -> pa.Table:
-        col = b.column(value_col)
-        if not pa.types.is_integer(col.type):
-            raise TypeError(
-                f"majority value column {value_col!r} is {col.type}, not an "
-                f"integer: map values to integer ids first "
-                f"(vector2dggs.feature_class_values)")
-        v = col.to_numpy().astype(np.int64) + _MAJ_BIAS
-        if v.size and (v.min() < 0 or v.max() >= _MAJ_K):
-            raise ValueError(
-                f"majority value out of [-{_MAJ_BIAS}, {_MAJ_BIAS}): "
-                f"packed-score argmax needs bounded integer values")
-        cnt = b.column("_cnt").to_numpy().astype(np.int64)
-        score = pa.array(cnt * _MAJ_K + (_MAJ_K - 1 - v))
-        best = pa.table({cell_col: b.column(cell_col), "_score": score}) \
-            .group_by(cell_col).aggregate([("_score", "max")])
-        s = best.column("_score_max").to_numpy()
-        return pa.table({cell_col: best.column(cell_col),
-                         out_col: pa.array(_MAJ_K - 1 - (s % _MAJ_K)
-                                           - _MAJ_BIAS),
-                         "n": pa.array(s // _MAJ_K)})
-
-    return counts.map_batches(argmax, batch_format="pyarrow",
-                              batch_size=None)
+def _argmax_by_score(b: pa.Table, cell_col: str, value_col: str,
+                     out_col: str) -> pa.Table:
+    """Per-cell argmax(cnt desc, value asc) over the (cell, value, _cnt) rows
+    of block `b`, which must hold all rows of its cells (sized_groupby's
+    output contract).  score = cnt * K + (K-1-(value+BIAS)) packs the
+    comparison into a single int64, so one Arrow group_by Max picks every
+    cell's winner with no per-group Python call.  Integer values only: a
+    non-integer value column in a non-empty block raises TypeError and a
+    value outside [-2^20, 2^20) raises ValueError.  Per-(cell, value) counts
+    must stay below 2^42."""
+    col = b.column(value_col)
+    if b.num_rows and not pa.types.is_integer(col.type):
+        raise TypeError(
+            f"majority value column {value_col!r} is {col.type}, not an "
+            f"integer: map values to integer ids first "
+            f"(vector2dggs.feature_class_values)")
+    v = col.to_numpy(zero_copy_only=False).astype(np.int64) + _MAJ_BIAS
+    if v.size and (v.min() < 0 or v.max() >= _MAJ_K):
+        raise ValueError(
+            f"majority value out of [-{_MAJ_BIAS}, {_MAJ_BIAS}): "
+            f"packed-score argmax needs bounded integer values")
+    cnt = b.column("_cnt").to_numpy().astype(np.int64)
+    score = pa.array(cnt * _MAJ_K + (_MAJ_K - 1 - v))
+    best = pa.table({cell_col: b.column(cell_col), "_score": score}) \
+        .group_by(cell_col).aggregate([("_score", "max")])
+    s = best.column("_score_max").to_numpy()
+    return pa.table({cell_col: best.column(cell_col),
+                     out_col: pa.array(_MAJ_K - 1 - (s % _MAJ_K) - _MAJ_BIAS),
+                     "n": pa.array(s // _MAJ_K)})
 
 
 def count_cells_per_value(ds, value_col: str, cell_col: str = "cellid"):

@@ -228,30 +228,39 @@ def hash_join(left, right, on: str = "cellid", join_type: str = "inner",
 _ARROW_FNS = {"Sum": "sum", "Min": "min", "Max": "max"}
 
 
-def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000):
+def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000,
+                  before=None, after=None):
     """The engine's grouped aggregation: `ds.groupby(key).aggregate(*aggs)`
-    for Sum, Min, Max and Count with one Ray Data execution and then plain
-    Ray tasks, instead of Ray's sort-shuffle Aggregate, whose per-operator
-    fixed cost dominates below ~10M rows.  Feed it the raw rows: the
-    per-block partial is its own first step, so callers need no partial of
-    their own.  With no aggregation it returns the distinct keys.  Any
-    other aggregation raises TypeError.
+    for Sum, Min, Max and Count in plain Ray tasks, with no Ray Data
+    execution of its own, instead of Ray's sort-shuffle Aggregate, whose
+    per-operator fixed cost dominates below ~10M rows.  Feed it the raw
+    rows: the per-block partial is its own first step, so callers need no
+    partial of their own.  With no aggregation it returns the distinct
+    keys.  Any other aggregation raises TypeError.
 
-    The execution is the per-block Arrow group_by partial (Sum of Sums /
-    Min of Mins / Max of Maxes are associative; counts combine by Sum),
-    materialized: partials are bounded by (distinct keys x blocks), tiny
-    relative to the input.  `Count(col, ignore_nulls=True)` counts the
-    non-null values of `col`; any other Count counts rows.
+    One `_partial` task per input block (submitted as the input's blocks
+    stream out, at most two per CPU in flight, as `per_block` does) runs the
+    Arrow group_by partial (Sum of Sums / Min of Mins / Max of Maxes are
+    associative; counts combine by Sum) and returns it with its row count.
+    Partials are bounded by (distinct keys x blocks), tiny relative to the
+    input.  `Count(col, ignore_nulls=True)` counts the non-null values of
+    `col`; any other Count counts rows.  `before(block) -> block`, if
+    given, runs on each input block inside its partial task.
 
-    Tasks over the partial block refs finish it, sized by the MEASURED
-    partial row count (the streaming planner cannot know it).  With P =
-    ceil(rows / single_block_rows), P = 1 is one task that combines every
-    partial with `partial_again`.  Otherwise one task per partial block
-    splits it into P parts by a stable hash of the first key column, and P
-    tasks each combine one part.  Output contract: every row that shares a
-    first-key value sits in one block, so a per-group step after this one
-    can run inside each block (`map_batches(batch_size=None)`).  An empty
-    input gives 0 rows."""
+    Tasks over the partial refs finish it, sized by the summed partial row
+    count.  With P = ceil(rows / single_block_rows), P = 1 is one task that
+    combines every partial with `partial_again`.  Otherwise one task per
+    partial block splits it into P parts by a stable hash of the first key
+    column, and P tasks each combine one part.  Output contract: every row
+    that shares a first-key value sits in one block, so a per-group step
+    can run inside each block: `after(block) -> block`, if given, runs on
+    each combined block inside its combine task.  An empty input (0-row or
+    schema-less blocks, or none) gives one 0-row block with the output
+    columns, `after` applied; key and Sum/Min/Max columns that no block
+    typed are null-typed."""
+    import ray
+    import ray.data
+
     keys = [key] if isinstance(key, str) else list(key)
     spec = []          # (src_col_or_None, level1_fn, alias); Count -> row
     for a in aggs:     # count at level 1, Sum of counts afterwards
@@ -266,25 +275,20 @@ def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000):
                             f"not {cls}")
         spec.append((a._target_col_name, fn, a.name))
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(keys).aggregate(
-            [([] if c is None else c, fn) for c, fn, _ in spec])
-        return g.rename_columns(keys + [alias for _, _, alias in spec])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    rows = partials.count()
-    if rows == 0:
-        return partials
-    import ray.data
-    refs = partials.to_arrow_refs()
-    n_parts = -(-rows // single_block_rows)
+    task = _remote(_on_arrow).options(num_returns=2)
+    done = _block_tasks(ds, task, _partial, keys, spec, before)
+    counts = ray.get([n for _, n in done])
+    refs = [p for (p, _), n in zip(done, counts) if n] \
+        or [p for p, _ in done] or [_empty_partial(keys, spec)]
+    n_parts = max(1, -(-sum(counts) // single_block_rows))
     combine = _remote(_combine)
     if n_parts == 1:
-        return ray.data.from_arrow_refs([combine.remote(keys, spec, *refs)])
+        return ray.data.from_arrow_refs(
+            [combine.remote(keys, spec, after, *refs)])
     split = _remote(_split_by_key).options(num_returns=n_parts)
     parts = [split.remote(r, keys[0], n_parts) for r in refs]
     return ray.data.from_arrow_refs(
-        [combine.remote(keys, spec, *part) for part in zip(*parts)])
+        [combine.remote(keys, spec, after, *part) for part in zip(*parts)])
 
 
 def partial_again(keys, spec):
@@ -307,34 +311,67 @@ def _remote(fn):
 
 def per_block(ds, fn, *args) -> list:
     """[fn(block, *args) for each block of `ds`] as plain Ray tasks, in block
-    order; a pyarrow Table is one block.  The tasks start as Ray Data streams
-    the blocks out, at most two per CPU in flight, so the whole input never
-    has to sit in the object store at once."""
+    order; a pyarrow Table is one block (see `_block_tasks`)."""
+    import ray
+    return ray.get(_block_tasks(ds, _remote(_on_arrow), fn, *args))
+
+
+def _block_tasks(ds, task, *args) -> list:
+    """[task.remote(block, *args) for each block of `ds`], in block order; a
+    pyarrow Table is one block.  The tasks start as Ray Data streams the
+    blocks out, at most two per CPU in flight, so the whole input never has
+    to sit in the object store at once.  Returns each call's refs."""
     import ray
 
-    task = _remote(_on_arrow)
     if isinstance(ds, pa.Table):
-        return ray.get([task.remote(fn, ds, *args)])
+        return [task.remote(ds, *args)]
     cap = 2 * cluster_cpus()
-    out = []
+    out, heads = [], []
     for bundle in ds.iter_internal_ref_bundles():
         for ref, _ in bundle.blocks:
-            out.append(task.remote(fn, ref, *args))
-            if len(out) > cap:
-                ray.wait(out, num_returns=len(out) - cap)
-    return ray.get(out)
+            refs = task.remote(ref, *args)
+            out.append(refs)
+            heads.append(refs[0] if isinstance(refs, list) else refs)
+            if len(heads) > cap:
+                ray.wait(heads, num_returns=len(heads) - cap)
+    return out
 
 
-def _on_arrow(fn, block, *args):
+def _on_arrow(block, fn, *args):
     """Task: `fn` on `block` as a pyarrow Table."""
     from ray.data.block import BlockAccessor
     return fn(BlockAccessor.for_block(block).to_arrow(), *args)
 
 
-def _combine(keys, spec, *blocks: pa.Table) -> pa.Table:
-    """Task: the final combine of `blocks` (partials of the same spec)."""
-    return partial_again(keys, spec)(
+def _partial(b: pa.Table, keys, spec, before):
+    """The per-block partial of `b` after `before`, and its row count.  A
+    schema-less block (0 rows, no columns) gives `_empty_partial`."""
+    if b.num_columns == 0:
+        return _empty_partial(keys, spec), 0
+    if before is not None:
+        b = before(b)
+    g = b.group_by(keys).aggregate(
+        [([] if c is None else c, fn) for c, fn, _ in spec]) \
+        .rename_columns(keys + [alias for _, _, alias in spec])
+    return g, g.num_rows
+
+
+def _empty_partial(keys, spec) -> pa.Table:
+    """A 0-row partial whose key and Sum/Min/Max columns are null-typed
+    (any other partial's types win when they are concatenated)."""
+    cols = {k: pa.nulls(0) for k in keys}
+    for _, fn, alias in spec:
+        cols[alias] = pa.nulls(0, pa.int64() if fn.startswith("count")
+                               else pa.null())
+    return pa.table(cols)
+
+
+def _combine(keys, spec, after, *blocks: pa.Table) -> pa.Table:
+    """Task: the final combine of `blocks` (partials of the same spec), then
+    `after` if given."""
+    out = partial_again(keys, spec)(
         pa.concat_tables(blocks, promote_options="permissive"))
+    return out if after is None else after(out)
 
 
 def _split_by_key(block: pa.Table, key: str, n_parts: int):

@@ -387,7 +387,8 @@ def geotiff_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
     is cut into full-width strips of one height (the last may be shorter),
     one tile row per block: a multiple of Ray's CPU count of them, each of
     about MAX_TILE_PX pixels at most, so the explode runs as near-equal
-    tasks."""
+    tasks.  The dataset is materialized (which for in-memory items runs no
+    Ray Data execution), so listing its blocks starts none either."""
     import ray.data as rd
 
     from ..core.raster import open_raster
@@ -413,7 +414,8 @@ def geotiff_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):
         sub = g.data[:, row0:row0 + strip]
         rows.append({"row0": row0, "col0": 0, "h": sub.shape[1], "w": W,
                      "data": np.ascontiguousarray(sub).tobytes()})
-    return rd.from_items(rows, override_num_blocks=len(rows)), meta
+    return rd.from_items(rows, override_num_blocks=len(rows)).materialize(), \
+        meta
 
 
 def jp2_to_tiles(path: str, grid: GridConfig = DEFAULT_GRID):

@@ -28,3 +28,17 @@ def test_first_fifty_queries_all_oracled():
     window = q[: min(50, len(q))]
     not_oracled = [k for k in window if k not in oracled]
     assert not not_oracled, f"rows-only queries inside the driver window: {not_oracled}"
+
+
+def test_check_oracle_reads_in_row_checks():
+    """tools/check_oracle.py fails a query without an oracle whose in-row
+    check column (`check_ok` or any `*_ok`) holds a value other than True."""
+    import pandas as pd
+
+    from tools.check_oracle import in_row_check_failures
+
+    ok = pd.DataFrame({"face": ["P", "Q"], "check_ok": [True, True],
+                       "psnr_ok": [True, True], "looks": [False, False]})
+    assert in_row_check_failures(ok) == {}
+    bad = ok.assign(check_ok=[True, False], psnr_ok=[None, True])
+    assert in_row_check_failures(bad) == {"check_ok": 1, "psnr_ok": 1}

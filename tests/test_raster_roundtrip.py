@@ -128,6 +128,35 @@ class TestRoundtrip:
         assert r.res_x == 10.0 and r.nodata == -9999.0
         assert "hi" in r.tags["GDAL_METADATA"]
 
+    def test_strip_blocks_list_without_an_execution(self, ray_session,
+                                                     tmp_path, monkeypatch):
+        """geotiff_to_tiles' dataset holds one strip per block, with its
+        row0/col0 offset, and listing its blocks (as tiles_to_cells does)
+        starts no Ray Data execution."""
+        import ray
+        from ray.data._internal.execution.streaming_executor import \
+            StreamingExecutor
+        data = np.arange(3 * 40 * 9, dtype=np.int16).reshape(3, 40, 9)
+        p = str(tmp_path / "s.tif")
+        write_geotiff(p, GeoTiff(data, 0.0, 0.0, G3.cell_width(5),
+                                 G3.cell_width(5), nodata=-1))
+        tiles, _ = geotiff_to_tiles(p, G3)
+        started = []
+        execute = StreamingExecutor.execute
+        monkeypatch.setattr(StreamingExecutor, "execute",
+                            lambda *a, **k: started.append(1)
+                            or execute(*a, **k))
+        refs = [ref for bundle in tiles.iter_internal_ref_bundles()
+                for ref, _ in bundle.blocks]
+        assert not started
+        strips = pa.concat_tables(ray.get(refs))
+        assert strips.num_rows == len(refs)
+        h = strips.column("h").to_numpy()
+        assert h.sum() == 40
+        assert strips.column("row0").to_pylist() == \
+            np.r_[0, np.cumsum(h)[:-1]].tolist()
+        assert set(strips.column("col0").to_pylist()) == {0}
+
     def test_reference_mini_fixture_chain(self, ray_session, tmp_path):
         """Full chain on a committed reference fixture: read tif -> cells ->
         raster -> write tif -> read back == original pixels

@@ -142,10 +142,11 @@ class TestCellifyOps:
                                 for i, r in enumerate((0, 1, 3, 7))])
         cells = cells.astype(object)
         exp = truncate_to_resolution(cells, res)
-        ds = rd.from_arrow(pa.table({"cellid": pa.array(cells, pa.string()),
-                                     "i": np.arange(cells.size)}))
+        tbl = pa.table({"cellid": pa.array(cells, pa.string()),
+                        "i": np.arange(cells.size)})
+        ds = rd.from_arrow(tbl)
 
-        out = _at_resolution(ds, "cellid", res).to_pandas().sort_values("i")
+        out = _at_resolution(tbl, "cellid", res).to_pandas().sort_values("i")
         assert out.cellid.tolist() == exp.tolist()
 
         keys = sorted(set(exp[::3]))

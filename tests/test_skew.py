@@ -8,6 +8,7 @@ one row per block before any exchange, so skew cannot concentrate load.
 """
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,8 +142,10 @@ class TestSkewedGroupby:
                                Count(alias_name="_cnt"),
                                single_block_rows=-(-partial_rows // parts))
         assert counts.num_blocks() == parts
-        got = pa.Table.from_pylist(_argmax_by_score(
-            counts, "cellid", "v", "majority_value").take_all())
+        got = pa.concat_tables(
+            _argmax_by_score(b, "cellid", "v", "majority_value")
+            for b in counts.iter_batches(batch_format="pyarrow",
+                                         batch_size=None))
         cnt = t.group_by(["cellid", "v"]).aggregate([([], "count_all")]) \
             .sort_by([("cellid", "ascending"), ("count_all", "descending"),
                       ("v", "ascending")])
@@ -251,6 +254,145 @@ class TestEmptyInput:
                              Count(alias_name="n")).count() == 0
         assert regrid_mean(ds, "v", res=1).count() == 0
         assert regrid_majority(ds, "v", res=1).count() == 0
+
+    @pytest.mark.parametrize("empty", ["typed", "schema-less", "no blocks"])
+    def test_regrids_keep_their_output_columns(self, ray_session, empty):
+        """An empty input gives 0 rows of the regrid's own output columns,
+        typed when the input is; a schema-less 0-row block (a filter that
+        kept nothing) or an input with no blocks at all is no error."""
+        import ray
+        import ray.data as rd
+        from dggsray.ops.cellify import regrid_majority, regrid_mean
+
+        t = pa.table({"cellid": pa.array(["N01", "N02", "O11"]),
+                      "v": pa.array([1, 2, 3], pa.int64())})
+        ds = {"typed": lambda: rd.from_arrow(t.slice(0, 0)),
+              "schema-less": lambda: rd.from_arrow(t).filter(
+                  lambda r: r["v"] > 9),
+              "no blocks": lambda: rd.from_arrow_refs([])}[empty]()
+        want = {"mean_value": pa.float64(), "majority_value": pa.int64()}
+        for regrid, col in ((regrid_mean, "mean_value"),
+                            (regrid_majority, "majority_value")):
+            blocks = ray.get(regrid(ds, "v", res=1).to_arrow_refs())
+            assert [b.num_rows for b in blocks] == [0]
+            assert blocks[0].column_names == ["cellid", col, "n"]
+            assert blocks[0].schema.field("n").type == pa.int64()
+            if empty == "typed":
+                assert blocks[0].schema.field("cellid").type == pa.string()
+                assert blocks[0].schema.field(col).type == want[col]
+
+
+@st.composite
+def _regrid_case(draw):
+    """(blocks, res, parts): 1-8 blocks of (cellid, v, cls) rows drawn from
+    one pool of cells at resolutions 0-6, so cells repeat across blocks; v
+    is int64 with nulls, cls a small signed class id; 0-row blocks too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(["".join([rng.choice(list("NOPQRS"))]
+                             + [str(d) for d in rng.integers(0, 9, r)])
+                     for r in rng.integers(0, 7, rng.integers(1, 40))])
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = int(rng.integers(0, 80))
+        v = rng.integers(-50, 50, n)
+        blocks.append(pa.table({
+            "cellid": pa.array(rng.choice(pool, n), pa.string()),
+            "v": pa.array(v, pa.int64(), mask=rng.random(n) < 0.1),
+            "cls": pa.array(rng.integers(-2, 5, n), pa.int64())}))
+    res = draw(st.sampled_from([None, 0, 1, 2, 3, 5]))
+    return blocks, res, draw(st.sampled_from([1, 2, 5]))
+
+
+def _regrid_reference(t: pa.Table, res):
+    """Single-process pyarrow regrids (as perfbench's regrid_reference)."""
+    from dggsray.core.cells import truncate_to_resolution
+    cells = t.column("cellid").to_numpy(zero_copy_only=False)
+    if res is not None and cells.size:
+        cells = truncate_to_resolution(cells, res)
+    c = pa.array(cells, pa.string())
+    g = pa.table({"cellid": c, "v": t.column("v")}).group_by("cellid") \
+        .aggregate([("v", "sum"), ("v", "count")])
+    mean = pa.table({"cellid": g.column("cellid"),
+                     "mean_value": pc.divide(
+                         g.column("v_sum"),
+                         pc.cast(g.column("v_count"), pa.float64())),
+                     "n": g.column("v_count")}).sort_by("cellid")
+    cnt = pa.table({"cellid": c, "cls": t.column("cls")}) \
+        .group_by(["cellid", "cls"]).aggregate([([], "count_all")]) \
+        .sort_by([("cellid", "ascending"), ("count_all", "descending"),
+                  ("cls", "ascending")])
+    k = cnt.column("cellid").to_numpy(zero_copy_only=False)
+    first = np.r_[np.ones(min(k.size, 1), bool), k[1:] != k[:-1]]
+    maj = pa.table({"cellid": cnt.column("cellid"),
+                    "majority_value": cnt.column("cls"),
+                    "n": cnt.column("count_all")}).filter(pa.array(first))
+    return mean, maj.sort_by("cellid")
+
+
+class TestRegridProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(case=_regrid_case())
+    def test_regrids_equal_one_process_reference(self, ray_session, case):
+        """regrid_mean and regrid_majority over several blocks, forced into
+        P output blocks, equal a single-process pyarrow recomputation; each
+        output block holds all rows of its cells, and Ray warns of no
+        schema change between blocks."""
+        import functools
+        import logging
+
+        import ray
+        import ray.data as rd
+        from dggsray.core.cells import truncate_to_resolution
+        from dggsray.ops import joins
+        from dggsray.ops.cellify import regrid_majority, regrid_mean
+
+        blocks, res, parts = case
+        table = pa.concat_tables(blocks)
+        want_mean, want_maj = _regrid_reference(table, res)
+
+        def partial_rows(keys):
+            rows = 0
+            for b in blocks:
+                c = b.column("cellid").to_numpy(zero_copy_only=False)
+                if res is not None and c.size:
+                    c = truncate_to_resolution(c, res)
+                rows += len({tuple(r) for r in zip(
+                    c, *(b.column(k).to_pylist() for k in keys))})
+            return rows
+
+        warned = []
+        handler = logging.Handler()
+        handler.emit = lambda r: warned.append(r.getMessage())
+        log = logging.getLogger(
+            "ray.data._internal.execution.streaming_executor_state")
+        log.addHandler(handler)
+        try:
+            for regrid, col, keys, want in (
+                    (regrid_mean, "v", [], want_mean),
+                    (regrid_majority, "cls", ["cls"], want_maj)):
+                rows = partial_rows(keys)
+                size = next((s for s in range(1, rows + 1)
+                             if -(-rows // s) == parts), None)
+                if size is None:          # fewer partial rows than parts
+                    size, n_out = 8_000_000, 1
+                else:
+                    n_out = parts
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(joins, "sized_groupby", functools.partial(
+                        joins.sized_groupby, single_block_rows=size))
+                    out = regrid(rd.from_arrow(blocks), col, res=res)
+                got = ray.get(out.to_arrow_refs())
+                assert len(got) == n_out
+                cells = [set(b.column("cellid").to_pylist()) for b in got]
+                assert sum(map(len, cells)) == len(set().union(*cells))
+                got = pa.concat_tables(got).sort_by("cellid")
+                assert got.column_names == want.column_names
+                for name in want.column_names:
+                    assert got.column(name).to_pylist() == \
+                        want.column(name).to_pylist(), name
+        finally:
+            log.removeHandler(handler)
+        assert not [m for m in warned if "different schema" in m]
 
 
 class TestMajorityNegativeValues:

@@ -1,5 +1,7 @@
 """Side-by-side check of queries() vs oracle_sql() — local simulation of the
-driver's correctness gate.  Usage: python tools/check_oracle.py [sf_dir]"""
+driver's correctness gate.  A query without an oracle passes only if every
+value of its in-row check columns (`check_ok`, `*_ok`) is True.  Exits 1 on
+any failure.  Usage: python tools/check_oracle.py [sf_dir] [query ...]"""
 import os
 import sys
 
@@ -23,6 +25,18 @@ def to_pandas(res):
 def canon(df):
     df = df[sorted(df.columns)]
     return df.sort_values(by=list(df.columns)).reset_index(drop=True)
+
+
+def in_row_check_failures(df) -> dict:
+    """{column: rows not True} for each in-row check column (`check_ok` or
+    any `*_ok`) of a query without an oracle that holds a non-True value."""
+    out = {}
+    for c in df.columns:
+        if c == "check_ok" or c.endswith("_ok"):
+            n = int((df[c] != True).sum())  # noqa: E712 (None counts too)
+            if n:
+                out[c] = n
+    return out
 
 
 def main(sf_dir: str, only: list[str] | None = None):
@@ -57,7 +71,13 @@ def main(sf_dir: str, only: list[str] | None = None):
             failures += 1
             continue
         if name not in oracles:
-            print(f"[ROWS-ONLY] {name}: {len(ours)} rows, cols={list(ours.columns)}")
+            bad = in_row_check_failures(ours)
+            if bad:
+                print(f"[FAIL-CHECK] {name}: not True in {bad}")
+                failures += 1
+            else:
+                print(f"[ROWS-ONLY] {name}: {len(ours)} rows, "
+                      f"cols={list(ours.columns)}")
             continue
         try:
             theirs = canon(con.sql(oracles[name]).df())
