@@ -299,6 +299,30 @@ def project_inv(x_m, y_m, grid: GridConfig = DEFAULT_GRID):
     return np.degrees(lam), np.degrees(phi)
 
 
+def project_inv_lattice(xs, ys, grid: GridConfig = DEFAULT_GRID):
+    """`project_inv` over the lattice of column coordinates `xs` and row
+    coordinates `ys` (planar meters): (lon, lat), each (len(ys), len(xs)),
+    bit-identical to `project_inv` of the full meshgrid.  On a row inside
+    the equatorial band (|y| <= pi/4 R_A) the inverse is separable, lon a
+    function of x alone and lat of y alone, so those rows cost one point
+    per column plus one per row; rows in the caps take the 2-D path."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    lon = np.empty((ys.size, xs.size))
+    lat = np.empty((ys.size, xs.size))
+    band = np.abs(ys / R_A) <= PI / 4.0        # project_inv's own band test
+    if band.any():
+        lon[band] = project_inv(xs, np.zeros(xs.size), grid)[0]
+        lat[band] = project_inv(np.zeros(int(band.sum())), ys[band],
+                                grid)[1][:, None]
+    if not band.all():
+        xx, yy = np.meshgrid(xs, ys[~band])
+        lo, la = project_inv(xx.ravel(), yy.ravel(), grid)
+        lon[~band] = lo.reshape(-1, xs.size)
+        lat[~band] = la.reshape(-1, xs.size)
+    return lon, lat
+
+
 # ---------------------------------------------------------------------------
 # Cell indexing (planar)
 # ---------------------------------------------------------------------------
@@ -383,6 +407,50 @@ def cell_keys_from_point(res_idx: int, x, y, grid: GridConfig = DEFAULT_GRID):
     row = np.clip(np.floor((fytop[f] - y) / w), 0, hi).astype(np.int64)
     key = f * (side * side) + row * side + col
     return np.where(ok, key, np.int64(-1))
+
+
+def lattice_cell_bytes(res_idx: int, xs, ys, grid: GridConfig = DEFAULT_GRID):
+    """`cell_from_point` over the lattice of column coordinates `xs` and row
+    coordinates `ys` (planar meters), as the (len(ys), len(xs), res_idx+1)
+    codec byte matrix of the cell ids and an on-plane mask (the bytes of
+    off-plane points are meaningless).  Equal to `cell_from_point` at every
+    lattice point, with no per-point float work: a point's face is fixed by its
+    row's zone (N cap, equator, S cap) and its column, its face-lattice
+    row by its row alone and its column by the zone and its column, so the
+    faces, indices and base-n digits are computed once per row and once per
+    column (same float expressions as `cell_from_point`) and broadcast."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
+    n = grid.n_side
+    w = F / n**res_idx
+    hi = n**res_idx - 1
+    fx0, fytop = grid.face_origins()
+    out = np.zeros((ys.size, xs.size, res_idx + 1), dtype=np.uint8)
+    on = np.zeros((ys.size, xs.size), dtype=bool)
+    # the row tests of face_from_point: N cap, equator, S cap, else off-plane
+    zone = np.select([(ys > F / 2.0) & (ys <= 1.5 * F),
+                      (ys <= F / 2.0) & (ys >= -F / 2.0),
+                      (ys < -F / 2.0) & (ys >= -1.5 * F)], [0, 1, 2], 3)
+    for z, zface in ((0, 0), (1, 1), (2, 5)):
+        rows = np.flatnonzero(zone == z)
+        if not rows.size:
+            continue
+        face = face_from_point(xs, np.full(xs.size, ys[rows[0]]), grid)
+        col = np.clip(np.floor((xs - fx0[np.clip(face, 0, 5)]) / w), 0, hi) \
+            .astype(np.int64)
+        row = np.clip(np.floor((fytop[zface] - ys[rows]) / w), 0, hi) \
+            .astype(np.int64)
+        colb = np.zeros((xs.size, res_idx + 1), dtype=np.uint8)
+        rowb = np.zeros((rows.size, res_idx + 1), dtype=np.uint8)
+        colb[:, 0] = _FACE_BYTES[np.clip(face, 0, 5)]
+        for level in range(res_idx, 0, -1):
+            colb[:, level] = col % n
+            rowb[:, level] = 48 + (row % n) * n
+            col //= n
+            row //= n
+        out[rows] = rowb[:, None, :] + colb[None, :, :]
+        on[rows] = face >= 0
+    return out, on
 
 
 def cells_from_lonlat(res_idx: int, lon_deg, lat_deg, grid: GridConfig = DEFAULT_GRID):
@@ -470,30 +538,57 @@ def _cellid_bytes(cellids, n_side: int) -> np.ndarray:
 def cellids_to_arrow(cells, grid: GridConfig = DEFAULT_GRID):
     """Uniform-resolution cell ids -> pa.StringArray, built from the byte
     matrix with arithmetic offsets (no per-element decode)."""
+    return cell_bytes_to_arrow(_cellid_bytes(cells, grid.n_side))
+
+
+def cell_bytes_to_arrow(b: np.ndarray):
+    """(n, res+1) codec byte matrix -> pa.StringArray over the same bytes,
+    with arithmetic offsets (the matrix is taken as valid)."""
     import pyarrow as pa
 
-    b = _cellid_bytes(cells, grid.n_side)
     n, w = b.shape
     offsets = np.arange(0, (n + 1) * w, w, dtype=np.int32)
-    return pa.StringArray.from_buffers(n, pa.py_buffer(offsets), pa.py_buffer(b))
+    return pa.StringArray.from_buffers(n, pa.py_buffer(offsets),
+                                       pa.py_buffer(np.ascontiguousarray(b)))
+
+
+@lru_cache(maxsize=None)
+def _digit_pair_lut(n_side: int) -> np.ndarray:
+    """Two consecutive digit bytes, read as one big-endian uint16 -> their
+    col part (d1 % n)*n + d2 % n plus their row part (d1 // n)*n + d2 // n
+    shifted to the high 32 bits, so one Horner step in int64 advances both.
+    Codes that are not two digits map to 0 (`_cellid_bytes` rejects them)."""
+    code = np.arange(1 << 16, dtype=np.int64)
+    d1, d2 = (code >> 8) - 48, (code & 255) - 48
+    n = n_side
+    lut = (d1 % n) * n + d2 % n + (((d1 // n) * n + d2 // n) << 32)
+    ok = (d1 >= 0) & (d1 < n * n) & (d2 >= 0) & (d2 < n * n)
+    return np.where(ok, lut, 0)
 
 
 def _parse_cellids(cellids, grid: GridConfig):
     """cellid strings (uniform resolution) -> (face_idx, col, row, res).
 
-    col/row are the cell's integer grid position inside its face at its resolution.
-    """
+    col/row are the cell's integer grid position inside its face at its
+    resolution, decoded two digits per step through `_digit_pair_lut`."""
     b = _cellid_bytes(cellids, grid.n_side)
     if b.shape[0] == 0:
         return (np.zeros(0, np.int64),) * 3 + (0,)
     res = b.shape[1] - 1
     n = grid.n_side
-    digits = b[:, 1:] - np.uint8(48)
-    # level weights n^(res-1) .. 1: each digit's column/row part in base n
-    place = n ** np.arange(res - 1, -1, -1, dtype=np.int64)
-    col = (digits % n).astype(np.int64) @ place
-    row = (digits // n).astype(np.int64) @ place
-    return _FACE_INDEX[b[:, 0]], col, row, res
+    if n**res > 2**31:
+        raise ValueError(f"cellid resolution {res} too deep to decode")
+    lut = _digit_pair_lut(n)
+    pairs = np.ascontiguousarray(b[:, 1:1 + res - res % 2]).view(">u2").T
+    acc = np.zeros(b.shape[0], np.int64)
+    for p in pairs:
+        acc *= n * n
+        acc += lut[p]
+    if res % 2:
+        d = b[:, res].astype(np.int64) - 48
+        acc *= n
+        acc += d % n + ((d // n) << 32)
+    return _FACE_INDEX[b[:, 0]], acc & 0xFFFFFFFF, acc >> 32, res
 
 
 def cell_ul_vertex(cellids, grid: GridConfig = DEFAULT_GRID):

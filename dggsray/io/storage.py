@@ -132,10 +132,8 @@ def read_cell_table(path: str):
     table directory."""
     import glob
 
-    import ray.data
-
     from ..core.raster import localize_path
-    from ..ops.joins import _remote, cluster_cpus
+    from ..ops.joins import _remote, cluster_cpus, materialized
 
     path = localize_path(path)
     with open(os.path.join(path, "_meta.json")) as f:
@@ -146,7 +144,7 @@ def read_cell_table(path: str):
     sizes = np.array([os.path.getsize(f) for f in files], dtype=np.float64)
     n = max(cluster_cpus(), math.ceil(sizes.sum() / READ_BLOCK_BYTES))
     task = _remote(_read_files)
-    return ray.data.from_arrow_refs([
+    return materialized([
         task.remote(group, fmt)
         for group in _size_groups(files, sizes, n)]), side["attrs"]
 

@@ -7,12 +7,13 @@ row at rowcol(centroid)) and rhealpix_data_frame_to_geodataframe (:368-445: deri
 bounds from cell vertices, res from cell_width, floor-based height/width with a
 min of 1; here the floor first snaps float error, see `_cells_across`).
 
-The scatter needs no shuffle and no map stage: the calling process pulls each
-block of the cell table as it is, decodes its Arrow cellid column in place to
-centroids, turns them into flat pixel indices row*W + col (dropping rows
-outside the window) and writes the block's band values straight into the
-(bands, H, W) array it returns — the raster is built in its own pixel layout,
-as Raptor (VLDB 2019, PAPERS.md) argues for."""
+The scatter needs no shuffle and no map stage: one plain Ray task per block
+of the cell table decodes its Arrow cellid column in place to centroids
+(`core.rhpx` reads the digits two at a time through one lookup table), turns
+them into flat pixel indices row*W + col (dropping rows outside the window)
+and returns them with the block's band values; the calling process only
+writes those into the (bands, H, W) array it returns — the raster is built
+in its own pixel layout, as Raptor (VLDB 2019, PAPERS.md) argues for."""
 from __future__ import annotations
 
 import math
@@ -102,36 +103,61 @@ def cells_to_raster_array(ds, meta: dict | None = None,
                           grid: GridConfig = DEFAULT_GRID,
                           cell_col: str = "cellid",
                           nodata=0) -> tuple[np.ndarray, dict]:
-    """Cell-table Dataset -> (array (bands, H, W), meta), deriving meta from
-    the cells when not given (reference DataFrame->raster path).
-    Exact-resolution contract of the reference (rhpx_gdf_helper.py:292-298):
-    the lattice step IS cell_width(res_idx); rows whose centroid falls outside
-    the target window are dropped (they would be out-of-range rowcol writes).
-    Pixels no row reaches hold meta["nodata"] (0 when None)."""
+    """Cell-table Dataset (or pyarrow Table) -> (array (bands, H, W), meta),
+    deriving meta from the cells when not given (reference DataFrame->raster
+    path; the schema is read once).  Exact-resolution contract of the
+    reference (rhpx_gdf_helper.py:292-298): the lattice step IS
+    cell_width(res_idx); rows whose centroid falls outside the target
+    window are dropped (they would be out-of-range rowcol writes).  Pixels
+    no row reaches hold meta["nodata"] (0 when None).
+
+    One plain Ray task per block (streamed as `joins.per_block` does)
+    decodes the block's cell ids to flat pixel indices and gathers its band
+    values; the driver fetches one block's result at a time and only
+    assigns it into the array."""
+    import ray
+
+    from .joins import _block_tasks, _on_arrow, _remote
+
     if meta is None:
-        nbands = sum(1 for c in ds.schema().names if c.startswith("band"))
-        first_band_type = ds.schema().types[ds.schema().names.index("band1")]
+        schema = ds.schema()
+        nbands = sum(1 for c in schema.names if c.startswith("band"))
+        first_band_type = schema.types[schema.names.index("band1")]
         meta = meta_from_cells_ds(ds, grid, cell_col, nodata=nodata,
                                   nbands=max(1, nbands),
                                   dtype=first_band_type
                                   .to_pandas_dtype().__name__)
-    res = meta["res"]
-    left, top = meta["left"], meta["top"]
     H, W = meta["height"], meta["width"]
     dtype = np.dtype(meta["dtypes"][0])
-    band_cols = [f"band{i + 1}" for i in range(meta["nbands"])]
-
-    out = np.full((len(band_cols), H * W), meta["nodata"]
+    nbands = meta["nbands"]
+    out = np.full((nbands, H * W), meta["nodata"]
                   if meta["nodata"] is not None else 0, dtype=dtype)
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        cx, cy = cell_centroid(b.column(cell_col), grid)
-        col = np.floor((cx - left) / res).astype(np.int64)
-        row = np.floor((top - cy) / res).astype(np.int64)
-        ok = (row >= 0) & (row < H) & (col >= 0) & (col < W)
-        pix = row[ok] * W + col[ok]
-        for i, bc in enumerate(band_cols):
-            out[i, pix] = b.column(bc).to_numpy()[ok].astype(dtype)
-    return out.reshape(len(band_cols), H, W), meta
+    for ref in _block_tasks(ds, _remote(_on_arrow), _block_pixels, meta,
+                            grid, cell_col):
+        pix, vals = ray.get(ref)
+        out[:, pix] = vals
+    return out.reshape(nbands, H, W), meta
+
+
+def _block_pixels(block: pa.Table, meta: dict, grid: GridConfig,
+                  cell_col: str):
+    """Task: a cell-table block -> (flat pixel index row*W + col of each row
+    inside the window, (bands, rows) values there in the raster's dtype).
+    Calls `cell_centroid` through the module global (a tracer may wrap it
+    there)."""
+    res, H, W = meta["res"], meta["height"], meta["width"]
+    dtype = np.dtype(meta["dtypes"][0])
+    bands = [f"band{i + 1}" for i in range(meta["nbands"])]
+    if block.num_rows == 0:
+        return np.zeros(0, np.int64), np.zeros((len(bands), 0), dtype)
+    cx, cy = cell_centroid(block.column(cell_col), grid)
+    col = np.floor((cx - meta["left"]) / res).astype(np.int64)
+    row = np.floor((meta["top"] - cy) / res).astype(np.int64)
+    ok = (row >= 0) & (row < H) & (col >= 0) & (col < W)
+    vals = np.empty((len(bands), int(ok.sum())), dtype)
+    for i, bc in enumerate(bands):
+        vals[i] = block.column(bc).to_numpy()[ok]
+    return row[ok] * W + col[ok], vals
 
 
 def grid_cells_for_bbox(nw: tuple, se: tuple, res: int,

@@ -259,7 +259,6 @@ def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000,
     columns, `after` applied; key and Sum/Min/Max columns that no block
     typed are null-typed."""
     import ray
-    import ray.data
 
     keys = [key] if isinstance(key, str) else list(key)
     spec = []          # (src_col_or_None, level1_fn, alias); Count -> row
@@ -283,11 +282,10 @@ def sized_groupby(ds, key, *aggs, single_block_rows: int = 8_000_000,
     n_parts = max(1, -(-sum(counts) // single_block_rows))
     combine = _remote(_combine)
     if n_parts == 1:
-        return ray.data.from_arrow_refs(
-            [combine.remote(keys, spec, after, *refs)])
+        return materialized([combine.remote(keys, spec, after, *refs)])
     split = _remote(_split_by_key).options(num_returns=n_parts)
     parts = [split.remote(r, keys[0], n_parts) for r in refs]
-    return ray.data.from_arrow_refs(
+    return materialized(
         [combine.remote(keys, spec, after, *part) for part in zip(*parts)])
 
 
@@ -300,6 +298,14 @@ def partial_again(keys, spec):
              for _, fn, alias in spec])
         return g.rename_columns(keys + [alias for _, _, alias in spec])
     return kernel
+
+
+def materialized(refs: list):
+    """Blocks from plain Ray tasks -> a MaterializedDataset over them (which
+    waits for the tasks).  Listing its blocks starts no Ray Data execution;
+    a bare `ray.data.from_arrow_refs` dataset starts one per listing."""
+    import ray.data
+    return ray.data.from_arrow_refs(refs).materialize()
 
 
 @functools.cache

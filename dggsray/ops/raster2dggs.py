@@ -21,9 +21,10 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from ..core.rhpx import (DEFAULT_GRID, GridConfig, align_point, cell_from_point,
-                         cell_keys_from_point, cellids_to_arrow, project_fwd,
-                         project_inv)
+from ..core.rhpx import (DEFAULT_GRID, GridConfig, align_point,
+                         cell_bytes_to_arrow, cell_from_point,
+                         cell_keys_from_point, lattice_cell_bytes,
+                         project_fwd, project_inv)
 from ..io.imagetable import decode_image
 
 
@@ -309,9 +310,10 @@ def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
                    store_nodata: bool = False, values_in_json: bool = False,
                    add_uid: bool = False):
     """Aligned rHEALPix raster (tile-row Dataset) -> cell table: one plain
-    Ray task per tile row, one output block per tile, returned through
-    `ray.data.from_arrow_refs` (which waits for every task).  Each tile row
-    carries its own pixel offset (row0, col0) in the raster.
+    Ray task per tile row, one output block per tile, returned as a
+    materialized Dataset (`joins.materialized`, which waits for every
+    task).  Each tile row carries its own pixel offset (row0, col0) in the
+    raster.
 
     Vectorized re-expression of the reference's per-pixel double loop
     rhealpix_file_to_geodataframe (/root/reference/dggstools/rhpx/
@@ -320,12 +322,10 @@ def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
     all_bands JSON and uid columns.  The uid is a deterministic blake2b of
     (cellid, values) instead of uuid4 so retried tasks are idempotent
     (SURVEY.md section 4 stragglers row)."""
-    import ray.data
-
-    from .joins import _remote
+    from .joins import _remote, materialized
 
     task = _remote(_explode_tile)
-    return ray.data.from_arrow_refs([
+    return materialized([
         task.remote(ref, k, meta, grid, store_nodata, values_in_json, add_uid)
         for bundle in tiles_ds.iter_internal_ref_bundles()
         for ref, block_meta in bundle.blocks
@@ -335,11 +335,14 @@ def tiles_to_cells(tiles_ds, meta: dict, grid: GridConfig = DEFAULT_GRID,
 def _explode_tile(tiles: pa.Table, k: int, meta: dict, grid: GridConfig,
                   store_nodata: bool, values_in_json: bool,
                   add_uid: bool) -> pa.Table:
-    """Task: tile row `k` of a tile block -> its cell rows.  A tile with no
-    kept pixel gives a 0-row block with the same typed columns (the optional
-    all_bands/uuid included), so every block of the table shares one schema.
-    Calls `cell_from_point` through the module global (the tracer wraps it
-    there)."""
+    """Task: tile row `k` of a tile block -> its cell rows, in row-major
+    pixel order.  The cell id of each pixel centre comes from
+    `lattice_cell_bytes`, which works per lattice row and column and
+    equals `cell_from_point` at every pixel; the kept on-plane pixels' codec
+    bytes become the Arrow cellid column as they are.  A tile with no kept
+    pixel gives a 0-row block with the same typed columns (the optional
+    all_bands/uuid included), so every block of the table shares one
+    schema."""
     row0, col0, h, w = (tiles.column(c)[k].as_py()
                         for c in ("row0", "col0", "h", "w"))
     nbands = meta["nbands"]
@@ -351,13 +354,12 @@ def _explode_tile(tiles: pa.Table, k: int, meta: dict, grid: GridConfig,
     if not keep.all():
         for i, nd in enumerate(ndvals):
             keep |= arr[i] != nd
-    rr, cc = np.nonzero(keep)
-    xs = meta["left"] + (cc + col0 + 0.5) * res
-    ys = meta["top"] - (rr + row0 + 0.5) * res
-    cells = cell_from_point(meta["res_idx"], xs, ys, grid)
-    ok = cells != ""
-    cols = {"cellid": cellids_to_arrow(cells[ok], grid)}
-    bands = [arr[i][rr[ok], cc[ok]] for i in range(nbands)]
+    xs = meta["left"] + (np.arange(w) + col0 + 0.5) * res
+    ys = meta["top"] - (np.arange(h) + row0 + 0.5) * res
+    cell_bytes, on_plane = lattice_cell_bytes(meta["res_idx"], xs, ys, grid)
+    keep &= on_plane
+    cols = {"cellid": cell_bytes_to_arrow(cell_bytes[keep])}
+    bands = [arr[i][keep] for i in range(nbands)]
     for i, band in enumerate(bands):
         cols[f"band{i+1}"] = pa.array(band)
     if values_in_json:

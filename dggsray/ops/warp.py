@@ -27,7 +27,8 @@ import re
 import numpy as np
 
 from ..core.geodesy import get_geodesic_size
-from ..core.rhpx import DEFAULT_GRID, GridConfig, align_point, project_fwd, project_inv
+from ..core.rhpx import (DEFAULT_GRID, GridConfig, align_point, project_fwd,
+                         project_inv, project_inv_lattice)
 from ..core.raster import open_raster
 from ..core.tiffio import GeoTiff, epsg_from_geokeys, read_geotiff, write_geotiff
 from ..core.conformal import is_webmerc, parse_lcc_crs
@@ -42,15 +43,13 @@ _DIST_WARP_MIN_CELLS = 4_000_000
 def _fill_chunked(out: np.ndarray, src: np.ndarray, chunk_vals,
                   nrows: int, ncols: int, row_chunk: int):
     """Fill `out[:, r0:r1, :]` for every destination row chunk, distributing
-    over Ray tasks when the output is large and a Ray session exists.  The
-    source raster goes to the object store ONCE (broadcast, zero-copy numpy
-    view per task); `chunk_vals(src, r0, r1)` must be a pure function shipped
-    by closure — the projection math is the bottleneck and parallelizes
-    embarrassingly.  The driver assembles chunks into the single-file GeoTIFF
-    (inherent to that output format; the partitioned scale path is
-    tiles_to_cells -> parquet)."""
-    nbands = out.shape[0]
-    dtype = out.dtype
+    over plain Ray tasks when the output is large and a Ray session exists.
+    The source raster goes to the object store ONCE and reaches each task
+    as a top-level argument (a zero-copy numpy view, resolved before the
+    task starts, so no task blocks in `ray.get`); `chunk_vals(src, r0, r1)`
+    must be a pure function shipped by closure.  The driver assembles
+    chunks into the single-file GeoTIFF (inherent to that output format;
+    the partitioned scale path is tiles_to_cells -> parquet)."""
     starts = list(range(0, nrows, row_chunk))
     use_ray = False
     if len(starts) > 1 and ncols * nrows >= _DIST_WARP_MIN_CELLS:
@@ -65,30 +64,21 @@ def _fill_chunked(out: np.ndarray, src: np.ndarray, chunk_vals,
             out[:, r0:r1, :] = chunk_vals(src, r0, r1)
         return
 
-    import pyarrow as pa
     import ray
-    import ray.data as rd
 
-    src_ref = ray.put(src)
+    from .joins import _remote
 
-    def kernel(b: pa.Table) -> pa.Table:
-        s = ray.get(src_ref)
-        r0s, outs = [], []
-        for i in b.column("id").to_numpy():
-            r0, r1 = starts[i], min(starts[i] + row_chunk, nrows)
-            r0s.append(r0)
-            outs.append(chunk_vals(s, r0, r1).tobytes())
-        return pa.table({"r0": pa.array(r0s, pa.int64()),
-                         "vals": pa.array(outs, pa.large_binary())})
+    src_ref, fn_ref = ray.put(src), ray.put(chunk_vals)
+    task = _remote(_chunk_task)
+    refs = [task.remote(fn_ref, src_ref, r0, min(r0 + row_chunk, nrows))
+            for r0 in starts]
+    for r0, ref in zip(starts, refs):
+        out[:, r0:r0 + row_chunk, :] = ray.get(ref)
 
-    chunks = rd.range(len(starts)).map_batches(
-        kernel, batch_format="pyarrow", batch_size=1)
-    for b in chunks.iter_batches(batch_format="pyarrow"):
-        for r0, raw in zip(b.column("r0").to_numpy(),
-                           b.column("vals").to_pylist()):
-            r1 = min(r0 + row_chunk, nrows)
-            out[:, r0:r1, :] = np.frombuffer(
-                raw, dtype=dtype).reshape(nbands, r1 - r0, ncols)
+
+def _chunk_task(chunk_vals, src: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Task: one destination row chunk of a warp."""
+    return chunk_vals(src, r0, r1)
 
 
 class RescalingStrategy(enum.Enum):
@@ -235,12 +225,10 @@ def resample_grid(data: np.ndarray, fc: np.ndarray, fr: np.ndarray,
         sc = np.floor(fc).astype(np.int64)
         sr = np.floor(fr).astype(np.int64)
         ok = (sc >= 0) & (sc < W) & (sr >= 0) & (sr < H)
-        for b in range(nbands):
-            v = data[b, sr[ok], sc[ok]]
-            if src_nd is not None:
-                v = np.where(v == src_nd,
-                             np.asarray(dst_nd).astype(data.dtype), v)
-            out[b, ok] = v
+        v = data.reshape(nbands, H * W)[:, sr[ok] * W + sc[ok]]
+        if src_nd is not None:
+            v = np.where(v == src_nd, np.asarray(dst_nd).astype(data.dtype), v)
+        out[:, ok] = v
         return out
     if resampling == "bilinear":
         x0 = np.floor(fc - 0.5).astype(np.int64)
@@ -505,16 +493,14 @@ def raster_to_rhealpix(input_path: str, output_path: str,
     s_left, s_top, s_rx, s_ry = g.left, g.top, g.res_x, g.res_y
 
     def chunk_vals(src: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        jj, ii = np.meshgrid(np.arange(ncols), np.arange(r0, r1))
-        xs = dleft + (jj.ravel() + 0.5) * cw
-        ys = dtop - (ii.ravel() + 0.5) * cw
-        if input_crs == "geographic":
-            lon, lat = project_inv(xs, ys, grid)
-        elif pfwd is not None:
-            lon, lat = project_inv(xs, ys, grid)
-            lon, lat = pfwd(lon, lat)
+        xs = dleft + (np.arange(ncols) + 0.5) * cw
+        ys = dtop - (np.arange(r0, r1) + 0.5) * cw
+        if input_crs == "rhealpix":
+            lon, lat = (a.ravel() for a in np.meshgrid(xs, ys))
         else:
-            lon, lat = xs, ys
+            lon, lat = (a.ravel() for a in project_inv_lattice(xs, ys, grid))
+            if pfwd is not None:
+                lon, lat = pfwd(lon, lat)
         fc = (lon - s_left) / s_rx
         fr = (s_top - lat) / s_ry
         if resampling == "average":

@@ -273,15 +273,15 @@ def _join_files(files: list[str], res: int, grid: GridConfig, verify: bool,
                 shard: tuple | None = None):
     """Image-table files -> per-image join result: one plain Ray task per
     file (a file listed twice runs twice), returned through
-    `ray.data.from_arrow_refs`, which waits for the tasks."""
-    import ray.data
+    `joins.materialized`, which waits for the tasks."""
+    import ray
 
-    from ..ops.joins import _remote
+    from ..ops.joins import _remote, materialized
 
     # nested-ref broadcast: put once, fetched zero-copy per task
     poly_idx = [ray.put(vector_cells_sorted(res, grid))]
     task = _remote(_join_file)
-    return ray.data.from_arrow_refs([
+    return materialized([
         task.remote(f, shard, cls=cls, poly_ref=poly_idx, res=res, grid=grid,
                     verify=verify, batch_size=batch_size) for f in files])
 

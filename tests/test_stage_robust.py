@@ -1,6 +1,7 @@
 """Per-batch stages (multimodal decoders, JPEG verify, the broadcast dedup
-probes): no hang at small CPU counts and no stall between back-to-back calls
-without the cyclic GC."""
+probes) and the plain-task raster round trip (explode, cell-table write and
+read, per-block scatter): no hang at small CPU counts and no stall between
+back-to-back calls without the cyclic GC."""
 import os
 import signal
 import subprocess
@@ -15,7 +16,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BACK_TO_BACK = textwrap.dedent("""
     import gc
     import sys
+    import tempfile
 
+    import numpy as np
     import ray
 
     ray.init(address="local", num_cpus=int(sys.argv[1]),
@@ -38,9 +41,34 @@ BACK_TO_BACK = textwrap.dedent("""
             "video_scene_cuts": 20, "docs_charset_jaccard": 42103,
             "docs_ngram_jaccard": 28, "images_jpeg_psnr": 64}
 
+    from dggsray.core.tiffio import GeoTiff, read_geotiff, write_geotiff
+    from dggsray.io.storage import read_cell_table, write_cell_table
+    from dggsray.ops.cells2raster import cells_to_raster_array
+    from dggsray.ops.raster2dggs import geotiff_to_tiles, tiles_to_cells
+    from dggsray.ops.warp import raster_to_rhealpix
+
+    TMP = tempfile.mkdtemp()
+    rng = np.random.default_rng(0)
+    write_geotiff(TMP + "/src.tif", GeoTiff(
+        rng.integers(1, 256, (3, 60, 80)).astype(np.uint8), 10.0, 5.0,
+        0.05, 0.05, nodata=0))
+    raster_to_rhealpix(TMP + "/src.tif", TMP + "/rhpx.tif")
+    WARPED = read_geotiff(TMP + "/rhpx.tif").data
+
+    def raster_roundtrip():
+        tiles, meta = geotiff_to_tiles(TMP + "/rhpx.tif")
+        table = tempfile.mkdtemp(dir=TMP)
+        write_cell_table(tiles_to_cells(tiles, meta), table, meta,
+                         partition_depth=2)
+        back, stored = read_cell_table(table)
+        arr, _ = cells_to_raster_array(back, stored)
+        assert arr.shape == WARPED.shape and np.array_equal(arr, WARPED)
+
     # a finished Dataset must release its workers without a gc.collect()
     gc.disable()
     for _ in range(3):
+        raster_roundtrip()
+        print("raster_roundtrip", flush=True)
         for name, fn in calls.items():
             df = fn(SF).to_pandas()
             assert len(df) == ROWS[name], (name, len(df))
@@ -72,7 +100,7 @@ def test_back_to_back_calls_finish_at_small_cpu_counts(num_cpus):
         os.killpg(p.pid, signal.SIGKILL)
         out, _ = p.communicate()
         done = out.split()
-        pytest.fail(f"27 stage calls at num_cpus={num_cpus} took over 180 s; "
+        pytest.fail(f"30 stage calls at num_cpus={num_cpus} took over 180 s; "
                     f"{len(done)} finished, the last {done[-1:]}")
     assert p.returncode == 0, err[-3000:]
     assert out.strip().endswith("OK")
